@@ -475,41 +475,50 @@ fn e9() {
     }
 }
 
+/// Parses `xml` and numbers its nodes 1..n, as a stored version would be.
+fn tree_with_xids(xml: &str) -> (txdb_xml::tree::Tree, txdb_base::Xid) {
+    let mut t = txdb_xml::parse::parse_document(xml).unwrap();
+    let ids: Vec<_> = t.iter().collect();
+    for (i, id) in ids.iter().enumerate() {
+        t.node_mut(*id).xid = txdb_base::Xid(i as u64 + 1);
+    }
+    (t, txdb_base::Xid(ids.len() as u64 + 1))
+}
+
+/// Diffs `old` against a fresh parse of `new_xml`; the new tree comes back
+/// with its XIDs assigned.
+fn diff_against(
+    old: &txdb_xml::tree::Tree,
+    new_xml: &str,
+    next: &mut txdb_base::Xid,
+) -> (txdb_delta::DiffResult, txdb_xml::tree::Tree) {
+    let mut new = txdb_xml::parse::parse_document(new_xml).unwrap();
+    let res =
+        txdb_delta::diff_trees(old, &mut new, next, VersionId(0), step_ts(0), step_ts(1)).unwrap();
+    (res, new)
+}
+
+fn moves_in(delta: &txdb_delta::Delta) -> usize {
+    delta.ops.iter().filter(|o| matches!(o, txdb_delta::EditOp::Move { .. })).count()
+}
+
 /// E10 — Diff cost and delta size vs document size / change ratio.
 fn e10() {
     println!("\n== E10: diff cost and delta size (§7.3.8) ==");
     header(
         "diff two versions of an n-item document",
-        &["items", "changes", "diff µs", "delta ops", "delta KiB"],
+        &["items", "changes", "diff µs", "delta ops", "moves", "delta KiB"],
     );
     for (items, changes) in [(20usize, 2usize), (100, 2), (100, 20), (500, 10), (500, 100)] {
         let cfg = DocGenConfig { items, changes_per_version: changes, ..Default::default() };
         let mut gen = DocGen::new(cfg, 17);
-        let old_xml = gen.xml();
+        let (old, next) = tree_with_xids(&gen.xml());
         let new_xml = gen.step();
-        let old = {
-            let mut t = txdb_xml::parse::parse_document(&old_xml).unwrap();
-            let ids: Vec<_> = t.iter().collect();
-            for (i, id) in ids.iter().enumerate() {
-                t.node_mut(*id).xid = txdb_base::Xid(i as u64 + 1);
-            }
-            t
-        };
-        let mut ops = 0;
-        let mut bytes = 0;
+        let (mut ops, mut moves, mut bytes) = (0, 0, 0);
         let us = time_us(5, || {
-            let mut new = txdb_xml::parse::parse_document(&new_xml).unwrap();
-            let mut next = txdb_base::Xid(100_000);
-            let res = txdb_delta::diff_trees(
-                &old,
-                &mut new,
-                &mut next,
-                VersionId(0),
-                step_ts(0),
-                step_ts(1),
-            )
-            .unwrap();
+            let (res, _) = diff_against(&old, &new_xml, &mut next.clone());
             ops = res.delta.ops.len();
+            moves = moves_in(&res.delta);
             bytes = res.delta.weight();
             std::hint::black_box(res);
         });
@@ -518,9 +527,48 @@ fn e10() {
             changes.to_string(),
             fmt1(us),
             ops.to_string(),
+            moves.to_string(),
             kib(bytes as u64),
         ]);
     }
+
+    // One sibling out of 150: the delta is the delete, not the 75 items
+    // behind it shifting up by one.
+    let cfg = DocGenConfig { items: 150, ..Default::default() };
+    let gen = DocGen::new(cfg.clone(), 17);
+    let (old, mut next) = tree_with_xids(&gen.xml());
+    let full = gen.xml();
+    let without_75: String = full
+        .split_inclusive("</item>")
+        .enumerate()
+        .filter(|&(i, _)| i != 75)
+        .map(|(_, piece)| piece)
+        .collect();
+    let (res, _) = diff_against(&old, &without_75, &mut next);
+    header("delete item 75 of 150", &["delta ops", "moves", "delta KiB"]);
+    row(&[
+        res.delta.ops.len().to_string(),
+        moves_in(&res.delta).to_string(),
+        kib(res.delta.weight() as u64),
+    ]);
+    check("a single sibling delete is one op and no move", res.delta.ops.len() == 1);
+
+    // The counter CI prints: TDocGen never reorders items, so every move
+    // along its stream is one the alignment failed to avoid.
+    let mut gen = DocGen::new(DocGenConfig { changes_per_version: 8, ..cfg }, 17);
+    let (mut cur, mut next) = tree_with_xids(&gen.xml());
+    let (puts, mut moves, mut ops) = (24usize, 0usize, 0usize);
+    for _ in 0..puts {
+        let (res, new) = diff_against(&cur, &gen.step(), &mut next);
+        moves += moves_in(&res.delta);
+        ops += res.delta.ops.len();
+        cur = new;
+    }
+    println!(
+        "\n150 items, 8 changes per version, {puts} puts: ops per put: {:.1}, moves per put: {:.2}",
+        ops as f64 / puts as f64,
+        moves as f64 / puts as f64
+    );
 }
 
 /// E12 — end-to-end query latency for the three paper query shapes.

@@ -20,16 +20,24 @@
 //!    name / text-ness), then leftovers are paired greedily by label. Newly
 //!    aligned pairs are processed recursively. Aligned text nodes with
 //!    different values become `UpdateText`; aligned elements recurse.
-//! 4. **Script generation** — one top-down pass over `new` emits
-//!    `Move`/`InsertSubtree`/`UpdateText`/`SetAttr` ops and a final pass
-//!    deletes unmatched `old` subtrees. Every op is *replayed on a working
-//!    copy while being recorded*, so positions and displaced timestamps are
-//!    exactly what forward application will see — the generated script is
-//!    correct by construction, not by convention.
+//! 4. **Script generation** — unmatched `old` subtrees with no matched
+//!    node inside are deleted *first*, so the siblings they leave behind
+//!    are already in place; then one top-down pass over `new` emits
+//!    `Move`/`InsertSubtree`/`UpdateText`/`SetAttr` ops, keeping under each
+//!    parent a longest increasing subsequence of its matched children where
+//!    they are and moving only the rest; a closing pass deletes the
+//!    unmatched subtrees that held matched content until it was moved out.
+//!    Under one parent the script therefore has *(matched children that
+//!    stay under it) − (LIS of their old order)* moves, plus one per child
+//!    that arrives from another parent — a delta costs what changed, not
+//!    what shifted. Every op is *replayed on a working copy while being
+//!    recorded*, so positions and displaced timestamps are exactly what
+//!    forward application will see — the generated script is correct by
+//!    construction, not by convention.
 
 use std::collections::{HashMap, HashSet};
 
-use txdb_base::{Result, Timestamp, VersionId, Xid};
+use txdb_base::{Error, Result, Timestamp, VersionId, Xid};
 use txdb_xml::equality::deep_eq;
 use txdb_xml::hash::SubtreeHashes;
 use txdb_xml::tree::{NodeId, NodeKind, Tree};
@@ -96,8 +104,10 @@ pub fn diff_trees(
         ops: Vec::new(),
         to_ts,
     };
+    let (gone, hollowed) = doomed_roots(old, &matching);
+    gen.emit_deletes(&gone)?;
     gen.emit_structure()?;
-    gen.emit_deletes()?;
+    gen.emit_deletes(&hollowed)?;
     let ops = gen.ops;
 
     // The working copy is now exactly the post-state including displaced
@@ -152,6 +162,16 @@ impl Matching {
         let b = self.new_to_old.insert(n, o);
         debug_assert!(a.is_none() && b.is_none(), "double match");
     }
+
+    /// The matched `(old, new)` pairs in `NodeId` order — never in the
+    /// maps' iteration order, which differs from one process to the next
+    /// and would make the same two trees give different deltas.
+    fn pairs(&self) -> Vec<(NodeId, NodeId)> {
+        let mut pairs: Vec<(NodeId, NodeId)> =
+            self.old_to_new.iter().map(|(&o, &n)| (o, n)).collect();
+        pairs.sort_unstable();
+        pairs
+    }
 }
 
 fn compute_matching(old: &Tree, new: &Tree) -> Matching {
@@ -197,8 +217,7 @@ fn compute_matching(old: &Tree, new: &Tree) -> Matching {
     }
 
     // Phase 2: upward propagation.
-    let pairs: Vec<(NodeId, NodeId)> = m.old_to_new.iter().map(|(&o, &n)| (o, n)).collect();
-    for (mut o, mut n) in pairs {
+    for (mut o, mut n) in m.pairs() {
         #[allow(clippy::while_let_loop)]
         loop {
             let (Some(po), Some(pn)) = (old.node(o).parent(), new.node(n).parent()) else {
@@ -223,8 +242,7 @@ fn compute_matching(old: &Tree, new: &Tree) -> Matching {
     // Phase 3: recursive child alignment from matched pairs and the
     // forest root level.
     let mut queue: Vec<(Option<NodeId>, Option<NodeId>)> = vec![(None, None)];
-    let pairs: Vec<(NodeId, NodeId)> = m.old_to_new.iter().map(|(&o, &n)| (o, n)).collect();
-    queue.extend(pairs.into_iter().map(|(o, n)| (Some(o), Some(n))));
+    queue.extend(m.pairs().into_iter().map(|(o, n)| (Some(o), Some(n))));
     let mut qi = 0;
     while qi < queue.len() {
         let (o, n) = queue[qi];
@@ -384,62 +402,92 @@ impl ScriptGen<'_, '_> {
 
     /// Aligns the children of the new node `n` (or the forest roots when
     /// `None`) in the working copy.
+    ///
+    /// The desired children that already sit under this parent keep their
+    /// place as far as possible: a longest increasing subsequence of their
+    /// current positions stays put, only the others are moved, so the
+    /// moves under one parent number *(matched children that stay under
+    /// it) − (LIS of their old order)* plus the children that arrive from
+    /// another parent. Nodes the parent still holds but will lose — to a
+    /// parent aligned later, or to the closing deletes — are stepped over;
+    /// wherever they sit, the list equals `desired` once they are gone.
     fn align_children(&mut self, n: Option<NodeId>) -> Result<()> {
-        let parent_xid = match n {
-            Some(id) => self.new.node(id).xid,
-            None => Xid::NONE,
+        let new = self.new;
+        let (parent_xid, desired) = match n {
+            Some(id) => (new.node(id).xid, new.node(id).children()),
+            None => (Xid::NONE, new.roots()),
         };
-        let desired: Vec<NodeId> = match n {
-            Some(id) => self.new.node(id).children().to_vec(),
-            None => self.new.roots().to_vec(),
-        };
+        let parent = if n.is_some() { Some(self.applier.lookup(parent_xid)?) } else { None };
+        let wt = self.applier.tree();
+        let current = work_children(wt, parent);
+        if current.len() == desired.len()
+            && current.iter().zip(desired).all(|(&w, &c)| wt.node(w).xid == new.node(c).xid)
+        {
+            return Ok(());
+        }
+        let index_now: HashMap<Xid, usize> =
+            current.iter().enumerate().map(|(i, &w)| (wt.node(w).xid, i)).collect();
+        let stays_at: Vec<Option<usize>> =
+            desired.iter().map(|&c| index_now.get(&new.node(c).xid).copied()).collect();
+        let keep = longest_increasing(&stays_at);
+
+        // `pos` is where the next desired child belongs: one past the
+        // desired child placed last. Kept children not yet reached are
+        // all at `pos` or beyond.
+        let mut pos = 0usize;
         for (i, &c) in desired.iter().enumerate() {
-            if self.matching.new_to_old.contains_key(&c) {
-                // Matched: ensure it sits at (parent_xid, i) in the work tree.
-                let cx = self.new.node(c).xid;
+            let cx = new.node(c).xid;
+            let wt = self.applier.tree();
+            if keep[i] {
+                let ahead = work_children(wt, parent)[pos..]
+                    .iter()
+                    .position(|&w| wt.node(w).xid == cx)
+                    .ok_or_else(|| Error::DeltaMismatch(format!("kept child {cx} not ahead")))?;
+                pos += ahead + 1;
+            } else if self.matching.new_to_old.contains_key(&c) {
                 let w = self.applier.lookup(cx)?;
-                let wt = self.applier.tree();
-                let cur_parent = wt.node(w).parent().map(|p| wt.node(p).xid).unwrap_or(Xid::NONE);
-                let cur_pos = wt.position(w);
-                if cur_parent != parent_xid || cur_pos != i {
-                    let old_ts = wt.node(w).ts;
-                    let old_parent_ts = if cur_parent.is_none() {
-                        Timestamp::ZERO
-                    } else {
-                        wt.node(self.applier.lookup(cur_parent)?).ts
-                    };
-                    self.emit(EditOp::Move {
-                        xid: cx,
-                        old_parent: cur_parent,
-                        old_pos: cur_pos,
-                        new_parent: parent_xid,
-                        new_pos: i,
-                        old_ts,
-                        old_parent_ts,
-                    })?;
-                }
-            } else if subtree_has_match(self.new, c, &self.matching.new_to_old) {
-                // Insert just this node; its children are placed by later
-                // alignment of `c` itself.
-                let mut single = Tree::new();
-                let root = match &self.new.node(c).kind {
-                    NodeKind::Element { name, attrs } => {
-                        let e = single.new_element(name.clone());
-                        for (k, v) in attrs {
-                            single.set_attr(e, k.clone(), v.clone());
-                        }
-                        e
-                    }
-                    NodeKind::Text { value } => single.new_text(value.clone()),
+                let (old_parent, old_parent_ts) = match wt.node(w).parent() {
+                    Some(p) => (wt.node(p).xid, wt.node(p).ts),
+                    None => (Xid::NONE, Timestamp::ZERO),
                 };
-                single.node_mut(root).xid = self.new.node(c).xid;
-                single.node_mut(root).ts = self.to_ts;
-                single.push_root(root);
-                self.emit(EditOp::InsertSubtree { parent: parent_xid, pos: i, subtree: single })?;
+                let old_pos = wt.position(w);
+                // Detaching a sibling that sits before `pos` shifts the slot.
+                let new_pos = if stays_at[i].is_some() && old_pos < pos { pos - 1 } else { pos };
+                let old_ts = wt.node(w).ts;
+                self.emit(EditOp::Move {
+                    xid: cx,
+                    old_parent,
+                    old_pos,
+                    new_parent: parent_xid,
+                    new_pos,
+                    old_ts,
+                    old_parent_ts,
+                })?;
+                pos = new_pos + 1;
             } else {
-                // Whole fresh subtree.
-                let payload = self.new.extract_subtree(c);
-                self.emit(EditOp::InsertSubtree { parent: parent_xid, pos: i, subtree: payload })?;
+                let subtree = if subtree_has_match(new, c, &self.matching.new_to_old) {
+                    // Insert just this node; its children are placed by
+                    // later alignment of `c` itself.
+                    let mut single = Tree::new();
+                    let root = match &new.node(c).kind {
+                        NodeKind::Element { name, attrs } => {
+                            let e = single.new_element(name.clone());
+                            for (k, v) in attrs {
+                                single.set_attr(e, k.clone(), v.clone());
+                            }
+                            e
+                        }
+                        NodeKind::Text { value } => single.new_text(value.clone()),
+                    };
+                    single.node_mut(root).xid = cx;
+                    single.node_mut(root).ts = self.to_ts;
+                    single.push_root(root);
+                    single
+                } else {
+                    new.extract_subtree(c)
+                };
+                self.emit(EditOp::InsertSubtree { parent: parent_xid, pos, subtree })?;
+                pos += 1;
             }
         }
         Ok(())
@@ -450,8 +498,11 @@ impl ScriptGen<'_, '_> {
         let xid = self.new.node(n).xid;
         let w = self.applier.lookup(xid)?;
         let (old_kind, old_ts) = {
-            let wt = self.applier.tree();
-            (wt.node(w).kind.clone(), wt.node(w).ts)
+            let old = self.applier.tree().node(w);
+            if old.kind == self.new.node(n).kind {
+                return Ok(());
+            }
+            (old.kind.clone(), old.ts)
         };
         match (&old_kind, &self.new.node(n).kind) {
             (NodeKind::Text { value: ov }, NodeKind::Text { value: nv }) => {
@@ -513,38 +564,75 @@ impl ScriptGen<'_, '_> {
         Ok(())
     }
 
-    /// Deletes every unmatched old subtree still present in the work tree.
-    fn emit_deletes(&mut self) -> Result<()> {
-        // The work tree now contains exactly: matched nodes (placed) and
-        // unmatched old nodes. Collect topmost unmatched-by-xid subtrees.
-        let new_xids: HashSet<Xid> = self.new.iter().map(|n| self.new.node(n).xid).collect();
-        loop {
-            // Re-scan after each delete: arena ids shift.
+    /// Deletes the subtrees rooted at `roots` from the working copy.
+    fn emit_deletes(&mut self, roots: &[Xid]) -> Result<()> {
+        for &xid in roots {
+            let id = self.applier.lookup(xid)?;
             let wt = self.applier.tree();
-            let mut victim: Option<(Xid, Xid, usize)> = None;
-            let mut stack: Vec<NodeId> = wt.roots().iter().rev().copied().collect();
-            while let Some(id) = stack.pop() {
-                let x = wt.node(id).xid;
-                if !new_xids.contains(&x) {
-                    let parent = wt.node(id).parent().map(|p| wt.node(p).xid).unwrap_or(Xid::NONE);
-                    victim = Some((x, parent, wt.position(id)));
-                    break;
-                }
-                stack.extend(wt.node(id).children().iter().rev());
-            }
-            let Some((x, parent, pos)) = victim else { break };
-            let wt = self.applier.tree();
-            let id = self.applier.lookup(x)?;
-            let subtree = wt.extract_subtree(id);
-            let old_parent_ts = if parent.is_none() {
-                Timestamp::ZERO
-            } else {
-                wt.node(self.applier.lookup(parent)?).ts
+            let (parent, old_parent_ts) = match wt.node(id).parent() {
+                Some(p) => (wt.node(p).xid, wt.node(p).ts),
+                None => (Xid::NONE, Timestamp::ZERO),
             };
+            let (pos, subtree) = (wt.position(id), wt.extract_subtree(id));
             self.emit(EditOp::DeleteSubtree { parent, pos, subtree, old_parent_ts })?;
         }
         Ok(())
     }
+}
+
+/// The child list of `parent` in `tree`, or its roots.
+fn work_children(tree: &Tree, parent: Option<NodeId>) -> &[NodeId] {
+    match parent {
+        Some(p) => tree.node(p).children(),
+        None => tree.roots(),
+    }
+}
+
+/// The XIDs of the topmost old nodes that do not survive — unmatched, under
+/// a matched parent or at root level — in document order, split in two:
+/// subtrees with no matched node inside, which are deleted *before*
+/// alignment so that the siblings they leave behind need no move, and
+/// subtrees that still hold matched descendants, which can only go once
+/// alignment has moved those out.
+fn doomed_roots(old: &Tree, m: &Matching) -> (Vec<Xid>, Vec<Xid>) {
+    let (mut gone, mut hollowed) = (Vec::new(), Vec::new());
+    for o in old.iter() {
+        let topmost = !m.old_to_new.contains_key(&o)
+            && old.node(o).parent().is_none_or(|p| m.old_to_new.contains_key(&p));
+        if topmost {
+            let list =
+                if subtree_has_match(old, o, &m.old_to_new) { &mut hollowed } else { &mut gone };
+            list.push(old.node(o).xid);
+        }
+    }
+    (gone, hollowed)
+}
+
+/// Marks one longest strictly increasing subsequence of the `Some` values
+/// of `seq` (patience sorting, O(n log n)); `None` entries are never marked.
+fn longest_increasing(seq: &[Option<usize>]) -> Vec<bool> {
+    // tails[k]: index into `seq` of the smallest value ending an
+    // increasing run of length k + 1; prev[i]: the element before `i` in
+    // the run that ends at `i`.
+    let mut tails: Vec<usize> = Vec::new();
+    let mut prev: Vec<Option<usize>> = vec![None; seq.len()];
+    for (i, v) in seq.iter().enumerate() {
+        let Some(v) = *v else { continue };
+        let k = tails.partition_point(|&t| seq[t] < Some(v));
+        prev[i] = k.checked_sub(1).map(|k| tails[k]);
+        if k == tails.len() {
+            tails.push(i);
+        } else {
+            tails[k] = i;
+        }
+    }
+    let mut keep = vec![false; seq.len()];
+    let mut cur = tails.last().copied();
+    while let Some(i) = cur {
+        keep[i] = true;
+        cur = prev[i];
+    }
+    keep
 }
 
 /// True when any node of the subtree rooted at `n` (excluding `n` itself)
@@ -677,6 +765,102 @@ mod tests {
         let moves = res.delta.ops.iter().filter(|o| matches!(o, EditOp::Move { .. })).count();
         assert_eq!(moves, 1, "ops: {:?}", res.delta.ops);
         assert_eq!(res.nodes_inserted, 0);
+    }
+
+    fn moves(res: &DiffResult) -> usize {
+        res.delta.ops.iter().filter(|o| matches!(o, EditOp::Move { .. })).count()
+    }
+
+    /// `<l><i>a</i><i>b</i>…</l>` with one `<i>` per listed value.
+    fn list(values: impl IntoIterator<Item = usize>) -> String {
+        let items: String = values.into_iter().map(|v| format!("<i>{v}</i>")).collect();
+        format!("<l>{items}</l>")
+    }
+
+    #[test]
+    fn deleting_one_sibling_is_one_op_and_no_move() {
+        // The siblings a delete leaves behind keep their place: the delta
+        // is the delete alone, wherever in the list it falls.
+        for k in [0, 1, 74, 148, 149] {
+            let (res, ..) = check(&list(0..150), &list((0..150).filter(|&v| v != k)));
+            assert_eq!(res.delta.ops.len(), 1, "k={k}: {:?}", res.delta.ops);
+            assert!(
+                matches!(&res.delta.ops[0], EditOp::DeleteSubtree { pos, .. } if *pos == k),
+                "k={k}: {:?}",
+                res.delta.ops
+            );
+        }
+    }
+
+    #[test]
+    fn rotation_is_one_move() {
+        let (res, ..) = check(&list([1, 2, 3, 4]), &list([2, 3, 4, 1]));
+        assert_eq!(res.delta.ops.len(), 1, "{:?}", res.delta.ops);
+        assert!(
+            matches!(res.delta.ops[0], EditOp::Move { old_pos: 0, new_pos: 3, .. }),
+            "{:?}",
+            res.delta.ops
+        );
+    }
+
+    #[test]
+    fn delete_insert_and_swap_move_only_the_swapped() {
+        // 3 deleted, <n> inserted after 1, 5 and 6 swapped: one op each.
+        let new = list([0, 1, 99, 2, 4, 6, 5, 7]).replace("<i>99</i>", "<n>9</n>");
+        let (res, ..) = check(&list(0..8), &new);
+        assert_eq!(moves(&res), 1, "{:?}", res.delta.ops);
+        assert_eq!(res.delta.ops.len(), 3, "{:?}", res.delta.ops);
+    }
+
+    #[test]
+    fn removed_wrapper_is_deleted_after_its_content_moved_out() {
+        // <wrap> is unmatched but holds matched content and a doomed <junk>:
+        // a and b move up, then wrap goes in one delete with junk inside.
+        let (res, _, new) = check(
+            "<g><c>0</c><wrap><a>1</a><junk>x</junk><b>2</b></wrap><d>3</d></g>",
+            "<g><c>0</c><a>1</a><b>2</b><d>3</d></g>",
+        );
+        assert_eq!(moves(&res), 2, "{:?}", res.delta.ops);
+        let deletes: Vec<_> =
+            res.delta.ops.iter().filter(|o| matches!(o, EditOp::DeleteSubtree { .. })).collect();
+        assert_eq!(deletes.len(), 1, "{:?}", res.delta.ops);
+        assert!(matches!(res.delta.ops.last(), Some(EditOp::DeleteSubtree { .. })));
+        assert_eq!(res.nodes_deleted, 3, "wrap, junk and its text");
+        let a = new.iter().find(|&n| new.node(n).name() == Some("a")).unwrap();
+        assert_eq!(new.node(a).xid, Xid(5), "a keeps identity");
+    }
+
+    #[test]
+    fn ancestor_and_descendant_matched_crosswise() {
+        // x and y pull their parents into a crosswise match: the inner old
+        // <a> becomes the outer new one. Top-down placement moves the inner
+        // one out before the outer one moves under it.
+        let (res, ..) = check("<a><a><x/></a><y/></a>", "<a><a><y/></a><x/></a>");
+        assert_eq!(res.nodes_inserted, 0, "{:?}", res.delta.ops);
+        assert_eq!(res.nodes_deleted, 0, "{:?}", res.delta.ops);
+    }
+
+    #[test]
+    fn same_trees_give_the_same_ops() {
+        // Many equal-weight candidates and crossing parent chains: the
+        // matching must not depend on hash-map iteration order.
+        let old = "<r><a><x/><p>1</p></a><a><y/><p>2</p></a><a><z/><p>3</p></a></r>";
+        let new = "<r><a><y/><p>3</p></a><a><z/><p>1</p></a><a><x/><p>2</p></a></r>";
+        let first = format!("{:?}", check(old, new).0.delta.ops);
+        for _ in 0..16 {
+            assert_eq!(format!("{:?}", check(old, new).0.delta.ops), first);
+        }
+    }
+
+    #[test]
+    fn longest_increasing_marks_a_maximal_run() {
+        let seq = [Some(3), None, Some(0), Some(1), Some(5), Some(2), None, Some(4)];
+        let keep = longest_increasing(&seq);
+        let kept: Vec<usize> =
+            seq.iter().zip(&keep).filter(|(_, &k)| k).map(|(v, _)| v.unwrap()).collect();
+        assert_eq!(kept, vec![0, 1, 2, 4]);
+        assert!(longest_increasing(&[]).is_empty());
+        assert_eq!(longest_increasing(&[None, None]), vec![false, false]);
     }
 
     #[test]

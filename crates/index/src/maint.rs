@@ -10,8 +10,10 @@
 //! * the parent element of inserted/deleted/updated *text* nodes (their
 //!   words belong to the parent),
 //! * attribute-update targets,
-//! * moved subtrees (every element inside — their xid-paths change) plus
-//!   the old/new parents of moved text nodes.
+//! * subtrees moved to another parent (every element inside — their
+//!   xid-paths change) plus the old/new parents of moved text nodes; a
+//!   move among siblings changes no xid-path and no parent's word set, so
+//!   it affects nothing.
 //!
 //! For each affected element the old open postings (tracked by the FTI
 //! itself) are diffed against the element's new occurrence signature; only
@@ -20,7 +22,6 @@
 //! [`FtiMode`] selects the §7.2 indexing alternative: version contents
 //! (the paper's choice), delta operations, or both (experiment E7).
 
-use std::collections::HashSet;
 use std::sync::Arc;
 
 use parking_lot::RwLock;
@@ -220,7 +221,7 @@ impl IndexSet {
         delta: &Delta,
     ) -> Result<()> {
         let new_map = new_tree.xid_map();
-        let mut affected: HashSet<Xid> = HashSet::new();
+        let mut affected: Vec<Xid> = Vec::new();
         for op in &delta.ops {
             match op {
                 EditOp::InsertSubtree { parent, subtree, .. }
@@ -228,48 +229,55 @@ impl IndexSet {
                     let mut any_element = false;
                     for n in subtree.iter() {
                         if subtree.node(n).is_element() {
-                            affected.insert(subtree.node(n).xid);
+                            affected.push(subtree.node(n).xid);
                             any_element = true;
                         }
                     }
                     // A bare text payload changes the parent's word set.
                     if !any_element && !parent.is_none() {
-                        affected.insert(*parent);
+                        affected.push(*parent);
                     }
                 }
                 EditOp::UpdateText { xid, .. } => {
                     // Words belong to the parent element.
                     if let Some(&n) = new_map.get(xid) {
                         if let Some(p) = new_tree.node(n).parent() {
-                            affected.insert(new_tree.node(p).xid);
+                            affected.push(new_tree.node(p).xid);
                         }
                     }
                 }
                 EditOp::SetAttr { xid, .. } => {
-                    affected.insert(*xid);
+                    affected.push(*xid);
                 }
+                // A move among siblings keeps every xid-path and the
+                // parent's word set.
+                EditOp::Move { old_parent, new_parent, .. } if old_parent == new_parent => {}
                 EditOp::Move { xid, old_parent, new_parent, .. } => {
                     if let Some(&n) = new_map.get(xid) {
                         if new_tree.node(n).is_element() {
                             // Paths of the whole moved subtree changed.
                             for d in new_tree.descendants(n) {
                                 if new_tree.node(d).is_element() {
-                                    affected.insert(new_tree.node(d).xid);
+                                    affected.push(new_tree.node(d).xid);
                                 }
                             }
                         } else {
                             // Moved text: both parents' word sets changed.
                             if !old_parent.is_none() {
-                                affected.insert(*old_parent);
+                                affected.push(*old_parent);
                             }
                             if !new_parent.is_none() {
-                                affected.insert(*new_parent);
+                                affected.push(*new_parent);
                             }
                         }
                     }
                 }
             }
         }
+        // Sorted, so that postings and lifetimes are written in the same
+        // order by every run.
+        affected.sort_unstable();
+        affected.dedup();
 
         let mut fti = self.fti.write();
         for xid in affected {
@@ -301,15 +309,11 @@ impl IndexSet {
                                 fti.open_posting(tok, doc, xid, *kind, &desired_path, version);
                             }
                         } else {
-                            for (tok, kind) in &current {
-                                if !desired.contains(&(tok.clone(), *kind)) {
-                                    fti.close_posting(tok, doc, xid, *kind, version);
-                                }
+                            for occ in current.iter().filter(|occ| !desired.contains(occ)) {
+                                fti.close_posting(&occ.0, doc, xid, occ.1, version);
                             }
-                            for (tok, kind) in &desired {
-                                if !current.contains(&(tok.clone(), *kind)) {
-                                    fti.open_posting(tok, doc, xid, *kind, &desired_path, version);
-                                }
+                            for occ in desired.iter().filter(|occ| !current.contains(occ)) {
+                                fti.open_posting(&occ.0, doc, xid, occ.1, &desired_path, version);
                             }
                         }
                     }
@@ -691,7 +695,9 @@ mod tests {
 
     #[test]
     fn fti_oracle_agreement_random_workload() {
-        // Differential check across a longer update sequence.
+        // Differential check across a longer update sequence: word
+        // changes, and from round to round items dropped, rotated and
+        // swapped among their siblings.
         let f = Fixture::new(FtiMode::Versions);
         let words = ["alpha", "beta", "gamma", "delta"];
         let mut t = 1u64;
@@ -699,14 +705,20 @@ mod tests {
             for d in 0..3u64 {
                 let w1 = words[((round + d) % 4) as usize];
                 let w2 = words[((round * 3 + d) % 4) as usize];
-                let xml =
-                    format!("<doc><item><v>{w1}</v></item><item><v>{w2} {w1}</v></item></doc>");
-                f.put(&format!("doc{d}"), &xml, ts(t));
+                let mut items: Vec<String> = vec![
+                    format!("<item><v>{w1}</v></item>"),
+                    format!("<item><v>{w2} {w1}</v></item>"),
+                ];
+                items.extend((0..5).map(|k| format!("<item><k>fixed{k}</k><v>{w2}</v></item>")));
+                items.remove(((round + d) % 7) as usize);
+                items.rotate_left((round % 6) as usize);
+                items.swap(0, (1 + d) as usize);
+                f.put(&format!("doc{d}"), &format!("<doc>{}</doc>", items.concat()), ts(t));
                 t += 1;
             }
         }
         for probe in [1, 5, 14, 20, 30, 36] {
-            for w in words {
+            for w in words.into_iter().chain(["fixed0", "fixed3"]) {
                 assert_eq!(
                     f.fti_word_at(w, ts(probe)),
                     f.scan_word_at(w, ts(probe)),
@@ -714,5 +726,22 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn pure_reorder_adds_no_postings() {
+        // Moves among siblings change no xid-path and no word set: the
+        // index must not even look at the moved subtrees.
+        let f = Fixture::new(FtiMode::Versions);
+        let item = |k: usize| format!("<item><n>name{k}</n><p>{k}</p></item>");
+        let forward: String = (0..20).map(item).collect();
+        let shuffled: String = (0..20).map(|k| item((k * 7 + 3) % 20)).collect();
+        f.put("d", &format!("<doc>{forward}</doc>"), ts(1));
+        let before = f.idx.fti().posting_count();
+        let r = f.put("d", &format!("<doc>{shuffled}</doc>"), ts(2));
+        let delta = r.delta.as_ref().unwrap();
+        assert!(!delta.is_empty() && delta.ops.iter().all(|o| matches!(o, EditOp::Move { .. })));
+        assert_eq!(f.idx.fti().posting_count(), before);
+        assert_eq!(f.fti_word_at("name7", ts(2)), 1);
     }
 }

@@ -86,6 +86,10 @@ impl Session {
         // blocked `read_frame` wakes with `WouldBlock`/`TimedOut` and the
         // loop closes the session like any disconnect.
         let _ = stream.set_read_timeout(self.idle_timeout);
+        // Responses leave in buffer-sized writes plus one flush per
+        // request; with Nagle on, the last partial segment of an answer
+        // larger than the write buffer waits for the client's delayed ACK.
+        let _ = stream.set_nodelay(true);
         let end = self.command_loop(&stream).unwrap_or(SessionEnd::Disconnected);
         reg.emit(
             "server.session_close",

@@ -359,6 +359,31 @@ assert d['tracing']['traced_1c_qps'] > 0, d['tracing']" "$out"
 }
 run_phase "server_bench smoke (over the wire)" server_bench_smoke
 
+# txbench: its own tests (same seed ⇒ same lists, span invariants,
+# BENCHMARK.json ≡ harness), then the write-path workload in quick mode,
+# which must check every answer and fail no operation.
+txbench_smoke() {
+    cargo test -q --offline --manifest-path txbench/Cargo.toml
+    local out
+    out=$(cargo run --release --offline --quiet --manifest-path txbench/Cargo.toml -- \
+        --workload ingest_churn --quick | tail -n 1)
+    echo "  $out" | cut -c1-160
+    grep -q '"correct":true' <<< "$out"
+    grep -q '"failed":0,' <<< "$out"
+}
+run_phase "txbench tests + ingest_churn --quick" txbench_smoke
+
+# Edit-script size: E10 asserts that deleting one of 150 siblings is one
+# op, and counts the moves along a TDocGen stream that never reorders —
+# a Move cascade (30+ per put before the LIS alignment) shows here.
+moves_per_put() {
+    local line
+    line=$(cargo run -q --offline -p txdb-bench --bin experiments -- e10 | grep 'moves per put')
+    echo "  $line"
+    awk '{ exit !($NF < 5) }' <<< "$line"
+}
+run_phase "diff moves per put (experiments e10)" moves_per_put
+
 echo "== OK =="
 for i in "${!PHASES[@]}"; do
     printf '  %-38s %ss\n' "${PHASES[$i]}" "${TIMES[$i]}"

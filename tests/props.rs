@@ -9,9 +9,10 @@
 
 use proptest::prelude::*;
 use temporal_xml::delta::diff::forest_identical;
-use temporal_xml::delta::{delta_from_xml, delta_to_xml, diff_trees};
+use temporal_xml::delta::{delta_from_xml, delta_to_xml, diff_trees, EditOp};
 use temporal_xml::index::fti::OccKind;
 use temporal_xml::index::maint::element_signature;
+use temporal_xml::wgen::{DocGen, DocGenConfig, RestaurantGuide};
 use temporal_xml::xml::codec::{decode_tree, encode_tree};
 use temporal_xml::xml::parse::parse_document;
 use temporal_xml::xml::serialize::to_string;
@@ -88,6 +89,17 @@ fn build(spec: &Spec, tree: &mut Tree, parent: Option<NodeId>) {
     }
 }
 
+/// Numbers the nodes 1..n in document order, all stamped at second 1, as
+/// a stored first version would be; returns the next free XID.
+fn assign_xids(t: &mut Tree) -> Xid {
+    let ids: Vec<NodeId> = t.iter().collect();
+    for (i, id) in ids.iter().enumerate() {
+        t.node_mut(*id).xid = Xid(i as u64 + 1);
+        t.node_mut(*id).ts = Timestamp::from_secs(1);
+    }
+    Xid(ids.len() as u64 + 1)
+}
+
 /// Builds a single-rooted tree from a spec (wrapping in `<root>`), with
 /// XIDs assigned in document order.
 fn tree_from(spec: &Spec) -> Tree {
@@ -95,11 +107,7 @@ fn tree_from(spec: &Spec) -> Tree {
     let root = t.new_element("root");
     t.push_root(root);
     build(spec, &mut t, Some(root));
-    let ids: Vec<NodeId> = t.iter().collect();
-    for (i, id) in ids.iter().enumerate() {
-        t.node_mut(*id).xid = Xid(i as u64 + 1);
-        t.node_mut(*id).ts = Timestamp::from_secs(1);
-    }
+    assign_xids(&mut t);
     t
 }
 
@@ -150,6 +158,67 @@ proptest! {
         prop_assert!(forest_identical(&fwd, &old));
     }
 
+    /// Sibling churn under one parent — a random permutation of the
+    /// survivors, deletes, inserts — costs exactly the moves that cannot
+    /// be avoided: (children matched under the parent) − (longest run of
+    /// them still in their old order). Deletes alone never cost a move.
+    #[test]
+    fn sibling_moves_are_matched_minus_lis(
+        fate in prop::collection::vec((any::<u32>(), any::<bool>()), 1..40),
+        inserts in prop::collection::vec(0usize..64, 0..6),
+        reorder in any::<bool>(),
+    ) {
+        let item = |v: &str| format!("<i>{v}</i>");
+        let old_xml: String = (0..fate.len()).map(|v| item(&v.to_string())).collect();
+        let mut survivors: Vec<usize> = (0..fate.len()).filter(|&v| fate[v].1).collect();
+        if reorder {
+            survivors.sort_by_key(|&v| fate[v].0);
+        }
+        let mut new_items: Vec<String> = survivors.iter().map(|v| item(&v.to_string())).collect();
+        for (j, at) in inserts.iter().enumerate() {
+            new_items.insert(at % (new_items.len() + 1), item(&format!("new{j}")));
+        }
+        let mut old = parse_document(&format!("<l>{old_xml}</l>")).unwrap();
+        let mut next = assign_xids(&mut old);
+        let mut new = parse_document(&format!("<l>{}</l>", new_items.concat())).unwrap();
+        let res = diff_trees(
+            &old, &mut new, &mut next,
+            VersionId(0), Timestamp::from_secs(1), Timestamp::from_secs(2),
+        ).unwrap();
+
+        // Identity and timestamps included, both ways.
+        let mut replay = old.clone();
+        res.delta.apply_forward(&mut replay).unwrap();
+        prop_assert!(forest_identical(&replay, &new));
+        res.delta.apply_backward(&mut replay).unwrap();
+        prop_assert!(forest_identical(&replay, &old));
+
+        // Where each surviving identity sat under the old parent, in new order.
+        let kids = |t: &Tree| -> Vec<Xid> {
+            t.node(t.root().unwrap()).children().iter().map(|&c| t.node(c).xid).collect()
+        };
+        let old_kids = kids(&old);
+        let was_at: Vec<usize> = kids(&new)
+            .iter()
+            .filter_map(|x| old_kids.iter().position(|o| o == x))
+            .collect();
+        let mut run = vec![1usize; was_at.len()];
+        for i in 0..was_at.len() {
+            for j in 0..i {
+                if was_at[j] < was_at[i] {
+                    run[i] = run[i].max(run[j] + 1);
+                }
+            }
+        }
+        let lis = run.iter().copied().max().unwrap_or(0);
+        let moves = res.delta.ops.iter().filter(|o| matches!(o, EditOp::Move { .. })).count();
+        prop_assert_eq!(moves, was_at.len() - lis, "moves under <l>, of {} ops", res.delta.ops.len());
+        if !reorder && inserts.is_empty() {
+            let deleted = fate.iter().filter(|f| !f.1).count();
+            prop_assert_eq!(res.delta.ops.len(), deleted, "deletes alone");
+        }
+    }
+
     #[test]
     fn delta_xml_roundtrip(old_spec in spec_strategy(), new_spec in spec_strategy()) {
         let old = tree_from(&old_spec);
@@ -190,6 +259,53 @@ proptest! {
         } else {
             prop_assert!(!i1.overlaps(i2));
         }
+    }
+}
+
+// ------------------------------------------------------ diff determinism
+
+/// The encoded deltas (as the store writes them) along one version
+/// stream: `first`, then every version `step` yields.
+fn stream_delta_bytes(first: String, step: impl FnMut() -> String) -> Vec<String> {
+    let mut cur = parse_document(&first).unwrap();
+    let mut next = assign_xids(&mut cur);
+    std::iter::repeat_with(step)
+        .take(12)
+        .enumerate()
+        .map(|(v, xml)| {
+            let mut new = parse_document(&xml).unwrap();
+            let (from, to) =
+                (Timestamp::from_secs(v as u64 + 1), Timestamp::from_secs(v as u64 + 2));
+            let res = diff_trees(&cur, &mut new, &mut next, VersionId(v as u32), from, to).unwrap();
+            cur = new;
+            to_string(&delta_to_xml(&res.delta))
+        })
+        .collect()
+}
+
+/// A TDocGen stream (item updates, inserts, deletes) followed by a
+/// restaurant-guide stream, whose crossing prices make several restaurants
+/// compete for one match — where the order the matcher visits pairs in
+/// decides who wins.
+fn generated_delta_bytes() -> Vec<String> {
+    let cfg = DocGenConfig { items: 60, changes_per_version: 8, ..DocGenConfig::default() };
+    let mut docs = DocGen::new(cfg, 7);
+    let mut guide = RestaurantGuide::new(25, 7);
+    let mut out = stream_delta_bytes(docs.xml(), || docs.step());
+    out.extend(stream_delta_bytes(guide.xml(), || guide.step(12)));
+    out
+}
+
+/// The same version streams give byte-identical deltas: twice in one
+/// thread (every `HashMap` draws another seed) and in fresh threads, which
+/// draw fresh hasher keys the way a fresh process does.
+#[test]
+fn same_version_stream_gives_byte_identical_deltas() {
+    let here = generated_delta_bytes();
+    assert!(generated_delta_bytes() == here, "second run in the same thread differs");
+    for _ in 0..3 {
+        let there = std::thread::spawn(generated_delta_bytes).join().unwrap();
+        assert!(there == here, "run in a fresh thread differs");
     }
 }
 

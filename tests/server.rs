@@ -301,6 +301,34 @@ fn graceful_shutdown_leaves_store_clean_with_zero_pins() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// An answer many times the session's write buffer streams without
+/// stalling. With Nagle's algorithm left on for accepted sockets four in
+/// five such answers waited ~40 ms for the client's delayed ACK before
+/// their last partial segment left; the median of several runs must stay
+/// under the stall alone, several times what the answer itself takes.
+#[test]
+fn large_answer_streams_without_nagle_stall() {
+    let db = Arc::new(Database::in_memory());
+    let items: String =
+        (0..300).map(|i| format!("<item><n>{i}</n><w>{}</w></item>", "x".repeat(200))).collect();
+    db.put("big", &format!("<list>{items}</list>"), ts(0)).unwrap();
+    let server = start(Arc::clone(&db));
+    let mut client = Client::connect(server.addr()).unwrap();
+    let mut took: Vec<Duration> = (0..15)
+        .map(|_| {
+            let t0 = Instant::now();
+            let reply = client.query(r#"SELECT R FROM doc("big")//item R"#, None).unwrap();
+            let bytes: usize = reply.rows.iter().flatten().map(String::len).sum();
+            assert!(reply.rows.len() == 300 && bytes > 64 * 1024, "{bytes} bytes");
+            t0.elapsed()
+        })
+        .collect();
+    took.sort();
+    assert!(took[7] < Duration::from_millis(35), "large answers took {took:?}");
+    drop(client);
+    server.shutdown().unwrap();
+}
+
 // --------------------------------------------------- observability
 
 /// A traced wire QUERY returns a span tree whose root duration equals —
