@@ -553,22 +553,38 @@ fn e10() {
     ]);
     check("a single sibling delete is one op and no move", res.delta.ops.len() == 1);
 
-    // The counter CI prints: TDocGen never reorders items, so every move
-    // along its stream is one the alignment failed to avoid.
+    // The counters CI prints: TDocGen never reorders items, so every move
+    // along its stream is one the alignment failed to avoid; and the same
+    // versions stored in a database count the B-tree pages decoded into
+    // entry vectors, which only a page split should do.
     let mut gen = DocGen::new(DocGenConfig { changes_per_version: 8, ..cfg }, 17);
-    let (mut cur, mut next) = tree_with_xids(&gen.xml());
-    let (puts, mut moves, mut ops) = (24usize, 0usize, 0usize);
-    for _ in 0..puts {
-        let (res, new) = diff_against(&cur, &gen.step(), &mut next);
+    let first = gen.xml();
+    let (mut cur, mut next) = tree_with_xids(&first);
+    let db = Database::in_memory();
+    db.put("doc", &first, step_ts(0)).unwrap();
+    let decodes = || db.metrics().snapshot().counter("btree.page_decodes").unwrap_or(0);
+    let decodes_before = decodes();
+    let (puts, mut moves, mut ops, mut diff_us) = (24usize, 0usize, 0usize, 0.0);
+    for i in 0..puts {
+        let xml = gen.step();
+        diff_us += time_us(3, || {
+            std::hint::black_box(diff_against(&cur, &xml, &mut next.clone()));
+        });
+        let (res, new) = diff_against(&cur, &xml, &mut next);
         moves += moves_in(&res.delta);
         ops += res.delta.ops.len();
         cur = new;
+        db.put("doc", &xml, step_ts(i as u64 + 1)).unwrap();
     }
+    let per_put = |n: f64| n / puts as f64;
     println!(
-        "\n150 items, 8 changes per version, {puts} puts: ops per put: {:.1}, moves per put: {:.2}",
-        ops as f64 / puts as f64,
-        moves as f64 / puts as f64
+        "\n150 items, 8 changes per version, {puts} puts: ops per put: {:.1}, \
+         diff µs per put: {:.0}",
+        per_put(ops as f64),
+        per_put(diff_us)
     );
+    println!("moves per put: {:.2}", per_put(moves as f64));
+    println!("B-tree page decodes per put: {:.2}", per_put((decodes() - decodes_before) as f64));
 }
 
 /// E12 — end-to-end query latency for the three paper query shapes.

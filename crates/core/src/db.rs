@@ -304,12 +304,6 @@ impl Database {
 
     /// Stores a new version of `name` (parsed tree) at time `ts`.
     pub fn put_tree(&self, name: &str, tree: Tree, ts: Timestamp) -> Result<PutResult> {
-        let resurrected = self
-            .store
-            .doc_id(name)?
-            .map(|d| self.store.is_deleted(d))
-            .transpose()?
-            .unwrap_or(false);
         let r = self.store.put_tree(name, tree, ts)?;
         if r.changed {
             self.indexes.on_put(
@@ -318,7 +312,7 @@ impl Database {
                 r.ts,
                 &r.new_tree,
                 r.delta.as_ref(),
-                resurrected,
+                r.resurrected,
             )?;
         }
         Ok(r)

@@ -34,8 +34,13 @@
 //!    recorded*, so positions and displaced timestamps are exactly what
 //!    forward application will see — the generated script is correct by
 //!    construction, not by convention.
+//!
+//! Per-node tables (subtree hashes and sizes, the matching) are vectors
+//! indexed by arena slot, and matched pairs are visited by scanning them in
+//! slot order — so the delta depends on the two trees alone, never on a
+//! hasher's seed.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use txdb_base::{Error, Result, Timestamp, VersionId, Xid};
 use txdb_xml::equality::deep_eq;
@@ -64,7 +69,10 @@ pub struct DiffResult {
 /// every node of `new` has an XID (preserved or fresh from `next_xid`) and
 /// a direct timestamp consistent with forward application of the delta at
 /// `to_ts`, i.e. `apply_forward(old.clone())` produces a forest identical
-/// to `new` including XIDs and timestamps.
+/// to `new` including XIDs and timestamps. Every op is replayed on a
+/// working copy as it is recorded; if that copy does not come out equal to
+/// `new`, the diff fails with [`Error::DeltaMismatch`] instead of
+/// returning a delta that would corrupt the history.
 pub fn diff_trees(
     old: &Tree,
     new: &mut Tree,
@@ -75,22 +83,21 @@ pub fn diff_trees(
 ) -> Result<DiffResult> {
     let matching = compute_matching(old, new);
 
-    // Assign XIDs: matched nodes keep identity, the rest draw fresh ids.
+    // Assign XIDs in document order: matched nodes keep identity, the rest
+    // draw fresh ids.
     let mut inserted = 0usize;
-    {
-        let new_ids: Vec<NodeId> = new.iter().collect();
-        for n in new_ids {
-            match matching.new_to_old.get(&n) {
-                Some(&o) => {
-                    new.node_mut(n).xid = old.node(o).xid;
-                    new.node_mut(n).ts = old.node(o).ts;
-                }
-                None => {
-                    new.node_mut(n).xid = *next_xid;
-                    *next_xid = next_xid.next();
-                    new.node_mut(n).ts = to_ts;
-                    inserted += 1;
-                }
+    let new_ids: Vec<NodeId> = new.iter().collect();
+    for n in new_ids {
+        match matching.old_of(n) {
+            Some(o) => {
+                new.node_mut(n).xid = old.node(o).xid;
+                new.node_mut(n).ts = old.node(o).ts;
+            }
+            None => {
+                new.node_mut(n).xid = *next_xid;
+                *next_xid = next_xid.next();
+                new.node_mut(n).ts = to_ts;
+                inserted += 1;
             }
         }
     }
@@ -111,36 +118,67 @@ pub fn diff_trees(
     let ops = gen.ops;
 
     // The working copy is now exactly the post-state including displaced
-    // timestamps; copy its direct timestamps onto `new` (nodes touched by
-    // deletes/moves differ from the pre-assignment above).
-    let ts_by_xid: HashMap<Xid, Timestamp> =
-        work.iter().map(|n| (work.node(n).xid, work.node(n).ts)).collect();
-    let new_ids: Vec<NodeId> = new.iter().collect();
-    for n in new_ids {
-        let x = new.node(n).xid;
-        if let Some(&ts) = ts_by_xid.get(&x) {
-            new.node_mut(n).ts = ts;
-        }
-    }
-    debug_assert!(forest_identical(&work, new), "diff replay mismatch");
+    // timestamps (nodes touched by deletes/moves differ from the
+    // pre-assignment above): check it against `new` and adopt its stamps.
+    adopt_replayed_timestamps(&work, new)?;
 
     let nodes_deleted = old.len() + inserted - new.len();
     Ok(DiffResult {
         delta: Delta { from_version, to_version: from_version.next(), from_ts, to_ts, ops },
-        nodes_matched: matching.new_to_old.len(),
+        nodes_matched: matching.matched,
         nodes_inserted: inserted,
         nodes_deleted,
     })
 }
 
-/// Structural identity including XIDs and timestamps — used to validate
-/// diff replay in tests and debug builds.
+/// Walks the replayed working copy and `new` in lockstep pre-order and
+/// copies each node's timestamp onto `new`. Any difference in shape, XID
+/// or content means the recorded script does not produce `new`.
+fn adopt_replayed_timestamps(work: &Tree, new: &mut Tree) -> Result<()> {
+    let mismatch = |what: &str| Error::DeltaMismatch(format!("diff replay differs in {what}"));
+    if work.roots().len() != new.roots().len() {
+        return Err(mismatch("root count"));
+    }
+    let mut stack: Vec<(NodeId, NodeId)> =
+        work.roots().iter().copied().zip(new.roots().iter().copied()).rev().collect();
+    while let Some((w, n)) = stack.pop() {
+        let (wn, nn) = (work.node(w), new.node(n));
+        if wn.xid != nn.xid {
+            return Err(mismatch("xid"));
+        }
+        if !same_kind(&wn.kind, &nn.kind) || wn.children().len() != nn.children().len() {
+            return Err(mismatch(&format!("the content of {}", wn.xid)));
+        }
+        stack.extend(wn.children().iter().copied().zip(nn.children().iter().copied()).rev());
+        new.node_mut(n).ts = wn.ts;
+    }
+    Ok(())
+}
+
+/// Node content equality with attributes compared as a set, as the
+/// matching ([`deep_eq`]) and `update_values` see them: replaying an
+/// attribute insert appends it, so the working copy may hold `new`'s
+/// attributes in another order.
+fn same_kind(a: &NodeKind, b: &NodeKind) -> bool {
+    match (a, b) {
+        (NodeKind::Text { value: va }, NodeKind::Text { value: vb }) => va == vb,
+        (NodeKind::Element { name: na, attrs: aa }, NodeKind::Element { name: nb, attrs: ab }) => {
+            na == nb
+                && aa.len() == ab.len()
+                && aa.iter().all(|(k, v)| ab.iter().any(|(k2, v2)| k2 == k && v2 == v))
+        }
+        _ => false,
+    }
+}
+
+/// Structural identity including XIDs and timestamps, attributes compared
+/// as a set — used to validate diff replay in tests.
 pub fn forest_identical(a: &Tree, b: &Tree) -> bool {
     fn node_identical(ta: &Tree, na: NodeId, tb: &Tree, nb: NodeId) -> bool {
         let (x, y) = (ta.node(na), tb.node(nb));
         x.xid == y.xid
             && x.ts == y.ts
-            && x.kind == y.kind
+            && same_kind(&x.kind, &y.kind)
             && x.children().len() == y.children().len()
             && x.children()
                 .iter()
@@ -151,51 +189,89 @@ pub fn forest_identical(a: &Tree, b: &Tree) -> bool {
         && a.roots().iter().zip(b.roots()).all(|(&ra, &rb)| node_identical(a, ra, b, rb))
 }
 
+/// A [`Matching`] slot with no partner (or a free arena slot).
+const UNMATCHED: u32 = u32::MAX;
+
+/// The node pairing between `old` and `new`, as two vectors indexed by
+/// arena slot ([`NodeId::index`]) holding the partner's slot, sized by
+/// [`Tree::arena_len`] because recycled slots leave gaps above `len()`.
 struct Matching {
-    old_to_new: HashMap<NodeId, NodeId>,
-    new_to_old: HashMap<NodeId, NodeId>,
+    old_to_new: Vec<u32>,
+    new_to_old: Vec<u32>,
+    /// Number of matched pairs.
+    matched: usize,
 }
 
 impl Matching {
-    fn link(&mut self, o: NodeId, n: NodeId) {
-        let a = self.old_to_new.insert(o, n);
-        let b = self.new_to_old.insert(n, o);
-        debug_assert!(a.is_none() && b.is_none(), "double match");
+    fn new(old: &Tree, new: &Tree) -> Matching {
+        Matching {
+            old_to_new: vec![UNMATCHED; old.arena_len()],
+            new_to_old: vec![UNMATCHED; new.arena_len()],
+            matched: 0,
+        }
     }
 
-    /// The matched `(old, new)` pairs in `NodeId` order — never in the
-    /// maps' iteration order, which differs from one process to the next
-    /// and would make the same two trees give different deltas.
+    fn link(&mut self, o: NodeId, n: NodeId) {
+        debug_assert!(!self.has_old(o) && !self.has_new(n), "double match");
+        self.old_to_new[o.index()] = n.index() as u32;
+        self.new_to_old[n.index()] = o.index() as u32;
+        self.matched += 1;
+    }
+
+    #[inline]
+    fn has_old(&self, o: NodeId) -> bool {
+        self.old_to_new[o.index()] != UNMATCHED
+    }
+
+    #[inline]
+    fn has_new(&self, n: NodeId) -> bool {
+        self.new_to_old[n.index()] != UNMATCHED
+    }
+
+    #[inline]
+    fn old_of(&self, n: NodeId) -> Option<NodeId> {
+        let o = self.new_to_old[n.index()];
+        (o != UNMATCHED).then(|| NodeId::from_index(o as usize))
+    }
+
+    /// The matched `(old, new)` pairs in `old` slot order: a scan, so the
+    /// order is fixed by the trees alone and the same two trees always
+    /// give the same delta.
     fn pairs(&self) -> Vec<(NodeId, NodeId)> {
-        let mut pairs: Vec<(NodeId, NodeId)> =
-            self.old_to_new.iter().map(|(&o, &n)| (o, n)).collect();
-        pairs.sort_unstable();
+        let mut pairs = Vec::with_capacity(self.matched);
+        for (o, &n) in self.old_to_new.iter().enumerate() {
+            if n != UNMATCHED {
+                pairs.push((NodeId::from_index(o), NodeId::from_index(n as usize)));
+            }
+        }
         pairs
     }
 }
 
 fn compute_matching(old: &Tree, new: &Tree) -> Matching {
-    let mut m = Matching { old_to_new: HashMap::new(), new_to_old: HashMap::new() };
+    let mut m = Matching::new(old, new);
     let h_old = SubtreeHashes::compute(old);
     let h_new = SubtreeHashes::compute(new);
 
-    // Phase 1: exact subtree matching, heaviest first.
-    let mut by_hash: HashMap<u64, Vec<NodeId>> = HashMap::new();
-    for o in old.iter() {
-        by_hash.entry(h_old.hash(o)).or_default().push(o);
-    }
+    // Phase 1: exact subtree matching, heaviest first. Candidates for a
+    // hash are a run of `by_hash`, sorted by hash and, within a hash, in
+    // document order of `old` (the sort is stable).
+    let mut by_hash: Vec<(u64, NodeId)> = old.iter().map(|o| (h_old.hash(o), o)).collect();
+    by_hash.sort_by_key(|&(h, _)| h);
     let mut new_nodes: Vec<NodeId> = new.iter().collect();
     new_nodes.sort_by_key(|&n| std::cmp::Reverse(h_new.size(n)));
     for n in new_nodes {
-        if m.new_to_old.contains_key(&n) {
+        if m.has_new(n) {
             continue;
         }
-        let Some(cands) = by_hash.get(&h_new.hash(n)) else { continue };
+        let h = h_new.hash(n);
+        let first = by_hash.partition_point(|&(oh, _)| oh < h);
+        let cands = by_hash[first..].iter().take_while(|&&(oh, _)| oh == h).map(|&(_, o)| o);
         // Prefer a candidate whose parent is matched to n's parent.
-        let n_parent_old = new.node(n).parent().and_then(|p| m.new_to_old.get(&p).copied());
+        let n_parent_old = new.node(n).parent().and_then(|p| m.old_of(p));
         let mut chosen = None;
-        for &o in cands {
-            if m.old_to_new.contains_key(&o) || !deep_eq(old, o, new, n) {
+        for o in cands {
+            if m.has_old(o) || !deep_eq(old, o, new, n) {
                 continue;
             }
             let same_context = match (old.node(o).parent(), n_parent_old) {
@@ -223,7 +299,7 @@ fn compute_matching(old: &Tree, new: &Tree) -> Matching {
             let (Some(po), Some(pn)) = (old.node(o).parent(), new.node(n).parent()) else {
                 break;
             };
-            if m.old_to_new.contains_key(&po) || m.new_to_old.contains_key(&pn) {
+            if m.has_old(po) || m.has_new(pn) {
                 break;
             }
             let same_name = match (old.node(po).name(), new.node(pn).name()) {
@@ -247,48 +323,46 @@ fn compute_matching(old: &Tree, new: &Tree) -> Matching {
     while qi < queue.len() {
         let (o, n) = queue[qi];
         qi += 1;
-        let old_children: Vec<NodeId> = match o {
-            Some(o) => old.node(o).children().to_vec(),
-            None => old.roots().to_vec(),
+        let old_children = match o {
+            Some(o) => old.node(o).children(),
+            None => old.roots(),
         };
-        let new_children: Vec<NodeId> = match n {
-            Some(n) => new.node(n).children().to_vec(),
-            None => new.roots().to_vec(),
+        let new_children = match n {
+            Some(n) => new.node(n).children(),
+            None => new.roots(),
         };
-        let old_un: Vec<NodeId> =
-            old_children.iter().copied().filter(|c| !m.old_to_new.contains_key(c)).collect();
-        let new_un: Vec<NodeId> =
-            new_children.iter().copied().filter(|c| !m.new_to_old.contains_key(c)).collect();
+        let old_un: Vec<NodeId> = old_children.iter().copied().filter(|&c| !m.has_old(c)).collect();
+        let new_un: Vec<NodeId> = new_children.iter().copied().filter(|&c| !m.has_new(c)).collect();
         if old_un.is_empty() || new_un.is_empty() {
             continue;
         }
-        let keys_old: Vec<Label> = old_un.iter().map(|&c| label(old, c)).collect();
-        let keys_new: Vec<Label> = new_un.iter().map(|&c| label(new, c)).collect();
+        let keys_old: Vec<Label> = old_un.iter().map(|&c| old.node(c).name()).collect();
+        let keys_new: Vec<Label> = new_un.iter().map(|&c| new.node(c).name()).collect();
         let lcs_pairs = lcs(&keys_old, &keys_new);
-        let mut used_old: HashSet<usize> = HashSet::new();
-        let mut used_new: HashSet<usize> = HashSet::new();
+        let mut used_old = vec![false; old_un.len()];
+        let mut used_new = vec![false; new_un.len()];
         let mut newly: Vec<(NodeId, NodeId)> = Vec::new();
         for (i, j) in lcs_pairs {
             newly.push((old_un[i], new_un[j]));
-            used_old.insert(i);
-            used_new.insert(j);
+            used_old[i] = true;
+            used_new[j] = true;
         }
         // Greedy pass for leftovers with equal labels, in order.
         let mut j_iter = 0usize;
         for i in 0..old_un.len() {
-            if used_old.contains(&i) {
+            if used_old[i] {
                 continue;
             }
             while j_iter < new_un.len() {
                 let j = j_iter;
                 j_iter += 1;
-                if used_new.contains(&j) {
+                if used_new[j] {
                     continue;
                 }
                 if keys_old[i] == keys_new[j] {
                     newly.push((old_un[i], new_un[j]));
-                    used_old.insert(i);
-                    used_new.insert(j);
+                    used_old[i] = true;
+                    used_new[j] = true;
                     break;
                 }
             }
@@ -303,29 +377,15 @@ fn compute_matching(old: &Tree, new: &Tree) -> Matching {
 
 /// Matches two structurally identical subtrees node-by-node (pre-order zip).
 fn match_subtrees(old: &Tree, o: NodeId, new: &Tree, n: NodeId, m: &mut Matching) {
-    let oi: Vec<NodeId> = old.descendants(o).collect();
-    let ni: Vec<NodeId> = new.descendants(n).collect();
-    debug_assert_eq!(oi.len(), ni.len());
-    for (a, b) in oi.into_iter().zip(ni) {
-        if !m.old_to_new.contains_key(&a) && !m.new_to_old.contains_key(&b) {
+    for (a, b) in old.descendants(o).zip(new.descendants(n)) {
+        if !m.has_old(a) && !m.has_new(b) {
             m.link(a, b);
         }
     }
 }
 
-/// Alignment label: element name or "text node".
-#[derive(Clone, PartialEq, Eq, Hash)]
-enum Label {
-    Elem(String),
-    Text,
-}
-
-fn label(tree: &Tree, n: NodeId) -> Label {
-    match tree.node(n).name() {
-        Some(name) => Label::Elem(name.to_string()),
-        None => Label::Text,
-    }
-}
+/// Alignment label: the element name, `None` for a text node.
+type Label<'t> = Option<&'t str>;
 
 /// Longest common subsequence of two label sequences, returning index pairs.
 fn lcs<T: PartialEq>(a: &[T], b: &[T]) -> Vec<(usize, usize)> {
@@ -382,7 +442,7 @@ impl ScriptGen<'_, '_> {
         self.align_children(None)?;
         let order: Vec<NodeId> = self.new.iter().collect();
         for n in order {
-            if self.matching.new_to_old.contains_key(&n) {
+            if self.matching.has_new(n) {
                 self.update_values(n)?;
                 if self.new.node(n).is_element() {
                     self.align_children(Some(n))?;
@@ -444,7 +504,7 @@ impl ScriptGen<'_, '_> {
                     .position(|&w| wt.node(w).xid == cx)
                     .ok_or_else(|| Error::DeltaMismatch(format!("kept child {cx} not ahead")))?;
                 pos += ahead + 1;
-            } else if self.matching.new_to_old.contains_key(&c) {
+            } else if self.matching.has_new(c) {
                 let w = self.applier.lookup(cx)?;
                 let (old_parent, old_parent_ts) = match wt.node(w).parent() {
                     Some(p) => (wt.node(p).xid, wt.node(p).ts),
@@ -597,8 +657,7 @@ fn work_children(tree: &Tree, parent: Option<NodeId>) -> &[NodeId] {
 fn doomed_roots(old: &Tree, m: &Matching) -> (Vec<Xid>, Vec<Xid>) {
     let (mut gone, mut hollowed) = (Vec::new(), Vec::new());
     for o in old.iter() {
-        let topmost = !m.old_to_new.contains_key(&o)
-            && old.node(o).parent().is_none_or(|p| m.old_to_new.contains_key(&p));
+        let topmost = !m.has_old(o) && old.node(o).parent().is_none_or(|p| m.has_old(p));
         if topmost {
             let list =
                 if subtree_has_match(old, o, &m.old_to_new) { &mut hollowed } else { &mut gone };
@@ -637,8 +696,9 @@ fn longest_increasing(seq: &[Option<usize>]) -> Vec<bool> {
 
 /// True when any node of the subtree rooted at `n` (excluding `n` itself)
 /// is matched.
-fn subtree_has_match(tree: &Tree, n: NodeId, matched: &HashMap<NodeId, NodeId>) -> bool {
-    tree.descendants(n).skip(1).any(|d| matched.contains_key(&d))
+/// `matched` is one side of a [`Matching`], indexed by `tree`'s slots.
+fn subtree_has_match(tree: &Tree, n: NodeId, matched: &[u32]) -> bool {
+    tree.descendants(n).skip(1).any(|d| matched[d.index()] != UNMATCHED)
 }
 
 #[cfg(test)]
@@ -850,6 +910,83 @@ mod tests {
         for _ in 0..16 {
             assert_eq!(format!("{:?}", check(old, new).0.delta.ops), first);
         }
+    }
+
+    /// Removes the first `<x>` subtree and appends `<n>text</n>` under the
+    /// root: the new nodes reuse the freed arena slots, so slot order is no
+    /// longer document order and `arena_len()` exceeds `len()`.
+    fn recycle(t: &mut Tree, text: &str) {
+        let root = t.root().unwrap();
+        let x = t.iter().find(|&n| t.node(n).name() == Some("x")).unwrap();
+        t.remove_subtree(x);
+        let n = t.new_element("n");
+        let v = t.new_text(text);
+        t.append_child(n, v);
+        t.insert_child(root, 0, n);
+    }
+
+    #[test]
+    fn recycled_arena_slots_round_trip() {
+        let src = "<g><x><y>1</y><y>2</y><y>3</y></x><a>keep</a><b>old</b></g>";
+        let mut old = parse_document(src).unwrap();
+        recycle(&mut old, "first");
+        let ids: Vec<NodeId> = old.iter().collect();
+        for (i, &id) in ids.iter().enumerate() {
+            old.node_mut(id).xid = Xid(i as u64 + 1);
+            old.node_mut(id).ts = Timestamp::from_micros(100);
+        }
+        let mut new = parse_document(src.replace("old", "new").as_str()).unwrap();
+        recycle(&mut new, "second");
+        assert!(old.arena_len() > old.len() && new.arena_len() > new.len());
+        let mut next = Xid(ids.len() as u64 + 1);
+        let res = diff_trees(
+            &old,
+            &mut new,
+            &mut next,
+            VersionId(0),
+            Timestamp::from_micros(100),
+            Timestamp::from_micros(200),
+        )
+        .unwrap();
+        assert_eq!(res.nodes_inserted, 0, "{:?}", res.delta.ops);
+        assert_eq!(res.delta.ops.len(), 2, "two text updates: {:?}", res.delta.ops);
+        let mut fwd = old.clone();
+        res.delta.apply_forward(&mut fwd).unwrap();
+        assert!(forest_identical(&fwd, &new), "forward replay mismatch");
+        res.delta.apply_backward(&mut fwd).unwrap();
+        assert!(forest_identical(&fwd, &old), "backward replay mismatch");
+    }
+
+    #[test]
+    fn replay_check_rejects_a_different_tree() {
+        let (old, _) = old_tree("<g><a>1</a></g>");
+        let mut other = old.clone();
+        assert!(adopt_replayed_timestamps(&old, &mut other).is_ok());
+        let a = other.iter().find(|&n| other.node(n).text() == Some("1")).unwrap();
+        other.set_text(a, "2");
+        assert!(matches!(
+            adopt_replayed_timestamps(&old, &mut other),
+            Err(Error::DeltaMismatch(_))
+        ));
+        other.node_mut(a).xid = Xid(99);
+        assert!(matches!(
+            adopt_replayed_timestamps(&old, &mut other),
+            Err(Error::DeltaMismatch(_))
+        ));
+    }
+
+    #[test]
+    fn attribute_order_does_not_fail_the_replay_check() {
+        // Replay appends the new attribute, so the working copy holds
+        // [a, c, b] against `new`'s [a, b, c].
+        let (res, ..) = check(r#"<r a="1" c="3"><x/></r>"#, r#"<r a="1" b="2" c="3"><x/></r>"#);
+        assert_eq!(res.delta.ops.len(), 1, "{:?}", res.delta.ops);
+        assert!(matches!(res.delta.ops[0], EditOp::SetAttr { .. }));
+        // A pure reorder is no change at all.
+        let (res, ..) = check(r#"<r a="1" b="2"><x/></r>"#, r#"<r b="2" a="1"><x/></r>"#);
+        assert!(res.delta.is_empty(), "{:?}", res.delta.ops);
+        let (res, ..) = check(r#"<r a="1" b="2"/>"#, r#"<r c="3" b="2" a="9"/>"#);
+        assert_eq!(res.nodes_inserted, 0);
     }
 
     #[test]

@@ -461,16 +461,10 @@ mod tests {
         }
 
         fn put(&self, name: &str, xml: &str, t: Timestamp) -> txdb_storage::repo::PutResult {
-            let was_deleted = self
-                .store
-                .doc_id(name)
-                .unwrap()
-                .map(|d| self.store.is_deleted(d).unwrap())
-                .unwrap_or(false);
             let r = self.store.put(name, xml, t).unwrap();
             if r.changed {
                 self.idx
-                    .on_put(r.doc, r.version, r.ts, &r.new_tree, r.delta.as_ref(), was_deleted)
+                    .on_put(r.doc, r.version, r.ts, &r.new_tree, r.delta.as_ref(), r.resurrected)
                     .unwrap();
             }
             r

@@ -42,6 +42,10 @@ pub struct BufferStats {
     pub physical_writes: Counter,
     /// Clean frames evicted.
     pub evictions: Counter,
+    /// B-tree pages materialised into entry vectors (`btree.page_decodes`).
+    /// Point reads and writes that fit work on the page bytes in place;
+    /// only a split decodes, so this stays near zero on a steady store.
+    pub page_decodes: Counter,
 }
 
 impl BufferStats {
@@ -53,6 +57,7 @@ impl BufferStats {
             physical_reads: reg.counter("buffer.physical_reads"),
             physical_writes: reg.counter("buffer.physical_writes"),
             evictions: reg.counter("buffer.evictions"),
+            page_decodes: reg.counter("btree.page_decodes"),
         }
     }
 
@@ -74,6 +79,7 @@ impl BufferStats {
         self.physical_reads.reset();
         self.physical_writes.reset();
         self.evictions.reset();
+        self.page_decodes.reset();
     }
 }
 

@@ -308,6 +308,9 @@ pub struct PutResult {
     pub ts: Timestamp,
     /// True when the document did not exist before (first version).
     pub created: bool,
+    /// True when the document was deleted before this put (its last
+    /// version was a tombstone): the put revives it.
+    pub resurrected: bool,
     /// False when the new content was identical to the current version and
     /// no new version was recorded.
     pub changed: bool,
@@ -318,6 +321,23 @@ pub struct PutResult {
     pub old_tree: Option<Tree>,
     /// The stored new current tree, XIDs assigned.
     pub new_tree: Tree,
+}
+
+/// A document found by name: its id and its cached metadata record.
+type FoundMeta = (DocId, Arc<(RecordId, DocMeta)>);
+
+/// Pre-WAL validation: the new timestamp must exceed the last version
+/// time of an existing document.
+fn check_monotonic(found: Option<&FoundMeta>, ts: Timestamp) -> Result<()> {
+    if let Some(last) = found.and_then(|(_, cached)| cached.1.last()) {
+        if ts <= last.ts {
+            return Err(Error::QueryInvalid(format!(
+                "non-monotonic write: {ts} <= last version time {}",
+                last.ts
+            )));
+        }
+    }
+    Ok(())
 }
 
 /// Outcome of a [`DocumentStore::delete`].
@@ -571,10 +591,6 @@ impl MetaCache {
 
     fn insert(&self, doc: DocId, meta: CachedMeta) {
         self.shard(doc).lock().insert(doc, meta);
-    }
-
-    fn remove(&self, doc: DocId) {
-        self.shard(doc).lock().remove(&doc);
     }
 
     fn clear(&self) {
@@ -849,7 +865,7 @@ impl DocumentStore {
                         .expect("fixed-width slice"),
                 ));
                 let tree = decode_tree(&rest[8..])?;
-                self.apply_put(&name, tree, ts)?;
+                self.apply_put(&name, tree, ts, self.lookup_meta(&name)?)?;
                 Ok(())
             }
             WAL_DELETE => {
@@ -860,7 +876,7 @@ impl DocumentStore {
                         .try_into()
                         .expect("fixed-width slice"),
                 ));
-                self.apply_delete(&name, ts)?;
+                self.apply_delete(ts, self.lookup_meta(&name)?)?;
                 Ok(())
             }
             WAL_VACUUM => {
@@ -871,7 +887,7 @@ impl DocumentStore {
                         .try_into()
                         .expect("fixed-width slice"),
                 ));
-                self.apply_vacuum(&name, before)?;
+                self.apply_vacuum(before, self.lookup_meta(&name)?)?;
                 Ok(())
             }
             x => Err(Error::WalCorrupt(0, format!("unknown wal op {x}"))),
@@ -895,9 +911,11 @@ impl DocumentStore {
             let _announced = self.wal.announce();
             let _g = self.sync.write();
             self.ensure_writable()?;
+            // One metadata lookup serves validation and apply.
+            let found = self.lookup_meta(name)?;
             // Validate BEFORE logging: a record that can never apply must
             // not reach the WAL, or it would poison every future recovery.
-            self.check_monotonic(name, ts)?;
+            check_monotonic(found.as_ref(), ts)?;
             // WAL first. The logged tree is the raw parsed content (XIDs
             // are assigned deterministically during apply, so replay is
             // exact).
@@ -906,7 +924,7 @@ impl DocumentStore {
             rec.extend_from_slice(&ts.micros().to_le_bytes());
             rec.extend_from_slice(&encode_tree(&tree));
             let seq = self.wal.append(&rec)?;
-            (self.apply_put(name, tree, ts)?, seq)
+            (self.apply_put(name, tree, ts, found)?, seq)
         };
         // Group-commit durability barrier, *outside* the writer lock:
         // while this thread waits for the fsync (its own, or the current
@@ -916,8 +934,16 @@ impl DocumentStore {
         Ok(result)
     }
 
-    fn apply_put(&self, name: &str, mut tree: Tree, ts: Timestamp) -> Result<PutResult> {
-        match self.lookup_meta(name)? {
+    /// Applies a put to the document `found` (its [`Self::lookup_meta`]
+    /// under the writer lock, `None` for a new document).
+    fn apply_put(
+        &self,
+        name: &str,
+        mut tree: Tree,
+        ts: Timestamp,
+        found: Option<FoundMeta>,
+    ) -> Result<PutResult> {
+        match found {
             None => {
                 // Fresh document: assign XIDs in document order.
                 let mut next = Xid::FIRST;
@@ -945,25 +971,30 @@ impl DocumentStore {
                 let meta_rid = self.heap.insert(&meta.encode())?;
                 self.catalog.insert(name.as_bytes(), &doc.0.to_be_bytes())?;
                 self.docs.insert(&doc.0.to_be_bytes(), &meta_rid.to_bytes())?;
+                self.meta_cache.insert(doc, Arc::new((meta_rid, meta)));
                 Ok(PutResult {
                     doc,
                     version: VersionId::FIRST,
                     ts,
                     created: true,
+                    resurrected: false,
                     changed: true,
                     delta: None,
                     old_tree: None,
                     new_tree: tree,
                 })
             }
-            Some((doc, meta_rid, mut meta)) => {
-                let last_ts = meta.last().map(|e| e.ts).unwrap_or(Timestamp::ZERO);
+            Some((doc, cached)) => {
+                let (meta_rid, ref stored) = *cached;
+                let last_ts = stored.last().map(|e| e.ts).unwrap_or(Timestamp::ZERO);
                 if ts <= last_ts {
                     return Err(Error::QueryInvalid(format!(
                         "non-monotonic put: {ts} <= last version time {last_ts}"
                     )));
                 }
-                if meta.last_content().is_none() {
+                let resurrected = stored.is_deleted();
+                if stored.last_content().is_none() {
+                    let mut meta = stored.clone();
                     // Resurrection after a full vacuum: every content
                     // version below the tombstone was purged, so there is
                     // nothing to diff against — store the new version
@@ -991,30 +1022,28 @@ impl DocumentStore {
                         delta_rid: None,
                         snapshot_rid: None,
                     });
-                    let new_meta_rid = self.heap.update(meta_rid, &meta.encode())?;
-                    self.docs.insert(&doc.0.to_be_bytes(), &new_meta_rid.to_bytes())?;
-                    self.invalidate_meta(doc);
-                    self.vcache.invalidate_doc(doc);
+                    self.store_meta(doc, meta_rid, meta)?;
                     return Ok(PutResult {
                         doc,
                         version,
                         ts,
                         created: false,
+                        resurrected,
                         changed: true,
                         delta: None,
                         old_tree: None,
                         new_tree: tree,
                     });
                 }
-                let old_tree = self.current_tree_of(&meta)?;
-                let from_entry = meta
+                let old_tree = self.current_tree_of(stored)?;
+                let from_entry = stored
                     .last_content()
                     .ok_or_else(|| Error::Corrupt("document has no content version".into()))?;
                 let (from_version, from_ts) = (from_entry.version, from_entry.ts);
-                let mut next_xid = meta.next_xid;
+                let mut next_xid = stored.next_xid;
                 let result =
                     diff_trees(&old_tree, &mut tree, &mut next_xid, from_version, from_ts, ts)?;
-                if result.delta.is_empty() && !meta.is_deleted() {
+                if result.delta.is_empty() && !resurrected {
                     // Unchanged content: no new version (re-crawl of an
                     // identical page, §3.1).
                     return Ok(PutResult {
@@ -1022,12 +1051,14 @@ impl DocumentStore {
                         version: from_version,
                         ts,
                         created: false,
+                        resurrected,
                         changed: false,
                         delta: None,
                         old_tree: Some(old_tree),
                         new_tree: tree,
                     });
                 }
+                let mut meta = stored.clone();
                 let version = VersionId(meta.entries.len() as u32);
                 // Store the delta as an XML document (§7.1).
                 let mut delta = result.delta;
@@ -1056,15 +1087,13 @@ impl DocumentStore {
                     delta_rid: Some(delta_rid),
                     snapshot_rid,
                 });
-                let new_meta_rid = self.heap.update(meta_rid, &meta.encode())?;
-                self.docs.insert(&doc.0.to_be_bytes(), &new_meta_rid.to_bytes())?;
-                self.invalidate_meta(doc);
-                self.vcache.invalidate_doc(doc);
+                self.store_meta(doc, meta_rid, meta)?;
                 Ok(PutResult {
                     doc,
                     version,
                     ts,
                     created: false,
+                    resurrected,
                     changed: true,
                     delta: Some(delta),
                     old_tree: Some(old_tree),
@@ -1084,36 +1113,43 @@ impl DocumentStore {
             self.ensure_writable()?;
             // No-op deletes (unknown or already-deleted documents) must
             // not reach the WAL.
-            match self.lookup_meta(name)? {
+            let found = self.lookup_meta(name)?;
+            match &found {
                 None => return Ok(None),
-                Some((.., meta)) if meta.is_deleted() => return Ok(None),
+                Some((_, cached)) if cached.1.is_deleted() => return Ok(None),
                 Some(_) => {}
             }
-            self.check_monotonic(name, ts)?;
+            check_monotonic(found.as_ref(), ts)?;
             let mut rec = vec![WAL_DELETE];
             encode_str(&mut rec, name);
             rec.extend_from_slice(&ts.micros().to_le_bytes());
             let seq = self.wal.append(&rec)?;
-            (self.apply_delete(name, ts)?, seq)
+            (self.apply_delete(ts, found)?, seq)
         };
         self.wal.commit(seq)?;
         Ok(result)
     }
 
-    fn apply_delete(&self, name: &str, ts: Timestamp) -> Result<Option<DeleteResult>> {
-        let Some((doc, meta_rid, mut meta)) = self.lookup_meta(name)? else {
+    fn apply_delete(
+        &self,
+        ts: Timestamp,
+        found: Option<FoundMeta>,
+    ) -> Result<Option<DeleteResult>> {
+        let Some((doc, cached)) = found else {
             return Ok(None);
         };
-        if meta.is_deleted() {
+        let (meta_rid, ref stored) = *cached;
+        if stored.is_deleted() {
             return Ok(None);
         }
-        let last_ts = meta.last().map(|e| e.ts).unwrap_or(Timestamp::ZERO);
+        let last_ts = stored.last().map(|e| e.ts).unwrap_or(Timestamp::ZERO);
         if ts <= last_ts {
             return Err(Error::QueryInvalid(format!(
                 "non-monotonic delete: {ts} <= last version time {last_ts}"
             )));
         }
-        let old_tree = self.current_tree_of(&meta)?;
+        let old_tree = self.current_tree_of(stored)?;
+        let mut meta = stored.clone();
         let version = VersionId(meta.entries.len() as u32);
         meta.entries.push(VersionEntry {
             version,
@@ -1122,10 +1158,7 @@ impl DocumentStore {
             delta_rid: None,
             snapshot_rid: None,
         });
-        let new_meta_rid = self.heap.update(meta_rid, &meta.encode())?;
-        self.docs.insert(&doc.0.to_be_bytes(), &new_meta_rid.to_bytes())?;
-        self.invalidate_meta(doc);
-        self.vcache.invalidate_doc(doc);
+        self.store_meta(doc, meta_rid, meta)?;
         Ok(Some(DeleteResult { doc, version, ts, old_tree }))
     }
 
@@ -1151,7 +1184,8 @@ impl DocumentStore {
             let _announced = self.wal.announce();
             let _g = self.sync.write();
             self.ensure_writable()?;
-            if self.lookup_meta(name)?.is_none() {
+            let found = self.lookup_meta(name)?;
+            if found.is_none() {
                 return Ok(None);
             }
             // Clamp below the oldest pinned snapshot BEFORE logging: the
@@ -1163,16 +1197,22 @@ impl DocumentStore {
             encode_str(&mut rec, name);
             rec.extend_from_slice(&before.micros().to_le_bytes());
             let seq = self.wal.append(&rec)?;
-            (self.apply_vacuum(name, before)?, seq)
+            (self.apply_vacuum(before, found)?, seq)
         };
         self.wal.commit(seq)?;
         Ok(result)
     }
 
-    fn apply_vacuum(&self, name: &str, before: Timestamp) -> Result<Option<VacuumStats>> {
-        let Some((doc, meta_rid, mut meta)) = self.lookup_meta(name)? else {
+    fn apply_vacuum(
+        &self,
+        before: Timestamp,
+        found: Option<FoundMeta>,
+    ) -> Result<Option<VacuumStats>> {
+        let Some((doc, cached)) = found else {
             return Ok(None);
         };
+        let meta_rid = cached.0;
+        let mut meta = cached.1.clone();
         let mut stats = VacuumStats { horizon: before, ..Default::default() };
         let n = meta.entries.len();
         for i in 0..n {
@@ -1215,28 +1255,9 @@ impl DocumentStore {
             }
         }
         if stats.purged_versions > 0 || stats.freed_bytes > 0 {
-            let new_meta_rid = self.heap.update(meta_rid, &meta.encode())?;
-            self.docs.insert(&doc.0.to_be_bytes(), &new_meta_rid.to_bytes())?;
-            self.invalidate_meta(doc);
-            self.vcache.invalidate_doc(doc);
+            self.store_meta(doc, meta_rid, meta)?;
         }
         Ok(Some(stats))
-    }
-
-    /// Pre-WAL validation: the new timestamp must exceed the last version
-    /// time of an existing document.
-    fn check_monotonic(&self, name: &str, ts: Timestamp) -> Result<()> {
-        if let Some((_, _, meta)) = self.lookup_meta(name)? {
-            if let Some(last) = meta.last() {
-                if ts <= last.ts {
-                    return Err(Error::QueryInvalid(format!(
-                        "non-monotonic write: {ts} <= last version time {}",
-                        last.ts
-                    )));
-                }
-            }
-        }
-        Ok(())
     }
 
     fn alloc_doc_id(&self) -> DocId {
@@ -1246,7 +1267,8 @@ impl DocumentStore {
         DocId(next as u32)
     }
 
-    fn lookup_meta(&self, name: &str) -> Result<Option<(DocId, RecordId, DocMeta)>> {
+    /// The document named `name` and its cached metadata, if it exists.
+    fn lookup_meta(&self, name: &str) -> Result<Option<FoundMeta>> {
         let Some(docid_bytes) = self.catalog.get(name.as_bytes())? else {
             return Ok(None);
         };
@@ -1255,13 +1277,20 @@ impl DocumentStore {
         }
         let doc =
             DocId(u32::from_be_bytes(docid_bytes[..4].try_into().expect("fixed-width slice")));
-        let (rid, meta) = self.meta_of(doc)?;
-        Ok(Some((doc, rid, meta)))
+        Ok(Some((doc, self.meta_arc(doc)?)))
     }
 
-    fn meta_of(&self, doc: DocId) -> Result<(RecordId, DocMeta)> {
-        let cached = self.meta_arc(doc)?;
-        Ok((cached.0, cached.1.clone()))
+    /// Writes a document's updated metadata record (re-pointing the docs
+    /// directory only if the record moved), caches it for the next lookup
+    /// and drops the document's cached versions.
+    fn store_meta(&self, doc: DocId, meta_rid: RecordId, meta: DocMeta) -> Result<()> {
+        let new_rid = self.heap.update(meta_rid, &meta.encode())?;
+        if new_rid != meta_rid {
+            self.docs.insert(&doc.0.to_be_bytes(), &new_rid.to_bytes())?;
+        }
+        self.meta_cache.insert(doc, Arc::new((new_rid, meta)));
+        self.vcache.invalidate_doc(doc);
+        Ok(())
     }
 
     /// Cached decode of a document's metadata record. Readers share the
@@ -1276,10 +1305,6 @@ impl DocumentStore {
         let arc = Arc::new((rid, meta));
         self.meta_cache.insert(doc, arc.clone());
         Ok(arc)
-    }
-
-    fn invalidate_meta(&self, doc: DocId) {
-        self.meta_cache.remove(doc);
     }
 
     fn current_tree_of(&self, meta: &DocMeta) -> Result<Tree> {
@@ -2146,20 +2171,25 @@ mod tests {
     #[test]
     fn resurrection_after_delete() {
         let store = DocumentStore::in_memory();
-        let doc = store.put("d", "<a><b>x</b></a>", ts(10)).unwrap().doc;
+        let first = store.put("d", "<a><b>x</b></a>", ts(10)).unwrap();
+        assert!(first.created && !first.resurrected);
+        let doc = first.doc;
+        assert!(!store.put("d", "<a><b>y</b></a>", ts(15)).unwrap().resurrected);
         store.delete("d", ts(20)).unwrap().unwrap();
+        assert!(store.delete("d", ts(21)).unwrap().is_none(), "already deleted");
         let r = store.put("d", "<a><b>x</b></a>", ts(30)).unwrap();
         assert_eq!(r.doc, doc);
-        assert!(r.changed);
-        assert_eq!(r.version, VersionId(2));
+        assert!(r.changed && r.resurrected);
+        assert!(!store.put("d", "<a><b>z</b></a>", ts(40)).unwrap().resurrected);
+        assert_eq!(r.version, VersionId(3));
         assert!(!store.is_deleted(doc).unwrap());
         // Reintroduced content gets FRESH xids (never reused, §3.2)?
         // The content is identical, so the diff matches everything and
         // XIDs are preserved — identity survives a delete+restore of
         // identical content (the tombstone only interrupts validity).
         assert_eq!(store.version_at(doc, ts(25)).unwrap(), None);
-        assert_eq!(store.version_at(doc, ts(30)).unwrap(), Some(VersionId(2)));
-        let t = store.current_tree(doc).unwrap();
+        assert_eq!(store.version_at(doc, ts(30)).unwrap(), Some(VersionId(3)));
+        let t = store.version_tree(doc, VersionId(3)).unwrap();
         assert_eq!(to_string(&t), "<a><b>x</b></a>");
     }
 

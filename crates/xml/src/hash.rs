@@ -98,17 +98,21 @@ pub fn label_hash(kind: &NodeKind) -> u64 {
 ///
 /// `hash[n]` covers node `n`'s label and the ordered hashes of its children;
 /// equal subtree hashes mean structurally identical subtrees (modulo hash
-/// collisions, which the diff verifies against).
+/// collisions, which the diff verifies against). Both tables are vectors
+/// indexed by arena slot ([`NodeId::index`]) and sized by
+/// [`Tree::arena_len`], since recycled slots leave gaps above `len()`; a
+/// free slot reads as hash 0, size 0.
 #[derive(Debug, Default)]
 pub struct SubtreeHashes {
-    hashes: std::collections::HashMap<NodeId, u64>,
-    sizes: std::collections::HashMap<NodeId, u32>,
+    hashes: Vec<u64>,
+    sizes: Vec<u32>,
 }
 
 impl SubtreeHashes {
     /// Computes hashes for every node of the forest.
     pub fn compute(tree: &Tree) -> Self {
-        let mut out = SubtreeHashes::default();
+        let n = tree.arena_len();
+        let mut out = SubtreeHashes { hashes: vec![0; n], sizes: vec![0; n] };
         for &root in tree.roots() {
             out.compute_node(tree, root);
         }
@@ -126,19 +130,21 @@ impl SubtreeHashes {
             size += cs;
         }
         let hash = h.finish();
-        self.hashes.insert(id, hash);
-        self.sizes.insert(id, size);
+        self.hashes[id.index()] = hash;
+        self.sizes[id.index()] = size;
         (hash, size)
     }
 
     /// The subtree hash of `id`.
+    #[inline]
     pub fn hash(&self, id: NodeId) -> u64 {
-        self.hashes[&id]
+        self.hashes[id.index()]
     }
 
     /// The subtree size (node count) of `id`.
+    #[inline]
     pub fn size(&self, id: NodeId) -> u32 {
-        self.sizes[&id]
+        self.sizes[id.index()]
     }
 }
 

@@ -29,9 +29,18 @@ use txdb_base::{Timestamp, Xid};
 pub struct NodeId(u32);
 
 impl NodeId {
+    /// The node's arena slot: dense in `0..tree.arena_len()`, so per-node
+    /// side tables can be plain vectors indexed by it.
     #[inline]
-    fn idx(self) -> usize {
+    pub fn index(self) -> usize {
         self.0 as usize
+    }
+
+    /// The id of arena slot `i` — the inverse of [`NodeId::index`]. Only
+    /// meaningful for a slot that holds a live node of the tree at hand.
+    #[inline]
+    pub fn from_index(i: usize) -> NodeId {
+        NodeId(i as u32)
     }
 }
 
@@ -161,6 +170,14 @@ impl Tree {
         self.live
     }
 
+    /// Number of arena slots, live or free: every [`NodeId`] of this tree
+    /// has `index() < arena_len()`. Larger than [`Tree::len`] once
+    /// structural edits have recycled slots through the free list.
+    #[inline]
+    pub fn arena_len(&self) -> usize {
+        self.nodes.len()
+    }
+
     /// True when the forest has no nodes.
     #[inline]
     pub fn is_empty(&self) -> bool {
@@ -174,19 +191,19 @@ impl Tree {
     /// across structural edits.
     #[inline]
     pub fn node(&self, id: NodeId) -> &Node {
-        &self.nodes[id.idx()]
+        &self.nodes[id.index()]
     }
 
     /// Mutably borrows a node (see [`Tree::node`] for validity rules).
     #[inline]
     pub fn node_mut(&mut self, id: NodeId) -> &mut Node {
-        &mut self.nodes[id.idx()]
+        &mut self.nodes[id.index()]
     }
 
     fn alloc(&mut self, node: Node) -> NodeId {
         self.live += 1;
         if let Some(id) = self.free.pop() {
-            self.nodes[id.idx()] = node;
+            self.nodes[id.index()] = node;
             id
         } else {
             let id = NodeId(self.nodes.len() as u32);
@@ -219,29 +236,29 @@ impl Tree {
 
     /// Appends a detached node as the last root of the forest.
     pub fn push_root(&mut self, id: NodeId) {
-        debug_assert!(self.nodes[id.idx()].parent.is_none());
+        debug_assert!(self.nodes[id.index()].parent.is_none());
         self.roots.push(id);
     }
 
     /// Inserts a detached node as root at position `pos`.
     pub fn insert_root(&mut self, pos: usize, id: NodeId) {
-        debug_assert!(self.nodes[id.idx()].parent.is_none());
+        debug_assert!(self.nodes[id.index()].parent.is_none());
         self.roots.insert(pos.min(self.roots.len()), id);
     }
 
     /// Appends `child` (detached) as the last child of `parent`.
     pub fn append_child(&mut self, parent: NodeId, child: NodeId) {
-        debug_assert!(self.nodes[child.idx()].parent.is_none());
-        self.nodes[child.idx()].parent = Some(parent);
-        self.nodes[parent.idx()].children.push(child);
+        debug_assert!(self.nodes[child.index()].parent.is_none());
+        self.nodes[child.index()].parent = Some(parent);
+        self.nodes[parent.index()].children.push(child);
     }
 
     /// Inserts `child` (detached) at position `pos` among `parent`'s
     /// children (clamped to the end).
     pub fn insert_child(&mut self, parent: NodeId, pos: usize, child: NodeId) {
-        debug_assert!(self.nodes[child.idx()].parent.is_none());
-        self.nodes[child.idx()].parent = Some(parent);
-        let cs = &mut self.nodes[parent.idx()].children;
+        debug_assert!(self.nodes[child.index()].parent.is_none());
+        self.nodes[child.index()].parent = Some(parent);
+        let cs = &mut self.nodes[parent.index()].children;
         let pos = pos.min(cs.len());
         cs.insert(pos, child);
     }
@@ -249,9 +266,9 @@ impl Tree {
     /// Detaches `id` from its parent (or from the root list), leaving its
     /// subtree intact but unrooted. Returns the position it occupied.
     pub fn detach(&mut self, id: NodeId) -> usize {
-        match self.nodes[id.idx()].parent.take() {
+        match self.nodes[id.index()].parent.take() {
             Some(p) => {
-                let cs = &mut self.nodes[p.idx()].children;
+                let cs = &mut self.nodes[p.index()].children;
                 let pos = cs.iter().position(|&c| c == id).expect("child in parent");
                 cs.remove(pos);
                 pos
@@ -269,11 +286,11 @@ impl Tree {
         self.detach(id);
         let mut stack = vec![id];
         while let Some(n) = stack.pop() {
-            stack.extend_from_slice(&self.nodes[n.idx()].children);
-            self.nodes[n.idx()].children.clear();
-            self.nodes[n.idx()].parent = None;
-            self.nodes[n.idx()].kind = NodeKind::Text { value: String::new() };
-            self.nodes[n.idx()].xid = Xid::NONE;
+            stack.extend_from_slice(&self.nodes[n.index()].children);
+            self.nodes[n.index()].children.clear();
+            self.nodes[n.index()].parent = None;
+            self.nodes[n.index()].kind = NodeKind::Text { value: String::new() };
+            self.nodes[n.index()].xid = Xid::NONE;
             self.free.push(n);
             self.live -= 1;
         }
@@ -281,10 +298,12 @@ impl Tree {
 
     /// The position of `id` among its siblings (or among the roots).
     pub fn position(&self, id: NodeId) -> usize {
-        match self.nodes[id.idx()].parent {
-            Some(p) => {
-                self.nodes[p.idx()].children.iter().position(|&c| c == id).expect("child in parent")
-            }
+        match self.nodes[id.index()].parent {
+            Some(p) => self.nodes[p.index()]
+                .children
+                .iter()
+                .position(|&c| c == id)
+                .expect("child in parent"),
             None => self.roots.iter().position(|&r| r == id).expect("root in forest"),
         }
     }
@@ -294,7 +313,7 @@ impl Tree {
     /// # Panics
     /// Panics if `id` is an element.
     pub fn set_text(&mut self, id: NodeId, value: impl Into<String>) {
-        match &mut self.nodes[id.idx()].kind {
+        match &mut self.nodes[id.index()].kind {
             NodeKind::Text { value: v } => *v = value.into(),
             NodeKind::Element { .. } => panic!("set_text on element node"),
         }
@@ -306,7 +325,7 @@ impl Tree {
     /// Panics if `id` is a text node.
     pub fn set_attr(&mut self, id: NodeId, key: impl Into<String>, value: impl Into<String>) {
         let (key, value) = (key.into(), value.into());
-        match &mut self.nodes[id.idx()].kind {
+        match &mut self.nodes[id.index()].kind {
             NodeKind::Element { attrs, .. } => {
                 if let Some(slot) = attrs.iter_mut().find(|(k, _)| *k == key) {
                     slot.1 = value;
@@ -320,7 +339,7 @@ impl Tree {
 
     /// Removes an attribute; returns the old value if present.
     pub fn remove_attr(&mut self, id: NodeId, key: &str) -> Option<String> {
-        match &mut self.nodes[id.idx()].kind {
+        match &mut self.nodes[id.index()].kind {
             NodeKind::Element { attrs, .. } => {
                 attrs.iter().position(|(k, _)| k == key).map(|i| attrs.remove(i).1)
             }
@@ -334,7 +353,7 @@ impl Tree {
     pub fn touch(&mut self, id: NodeId, ts: Timestamp) {
         let mut cur = Some(id);
         while let Some(n) = cur {
-            let node = &mut self.nodes[n.idx()];
+            let node = &mut self.nodes[n.index()];
             if node.ts >= ts {
                 break; // ancestors are at least as new already
             }
@@ -348,7 +367,7 @@ impl Tree {
     pub fn stamp_all(&mut self, ts: Timestamp) {
         let ids: Vec<NodeId> = self.iter().collect();
         for id in ids {
-            self.nodes[id.idx()].ts = ts;
+            self.nodes[id.index()].ts = ts;
         }
     }
 
@@ -377,7 +396,7 @@ impl Tree {
 
     /// Iterates over `id`'s ancestors, nearest first (excluding `id`).
     pub fn ancestors(&self, id: NodeId) -> AncestorIter<'_> {
-        AncestorIter { tree: self, cur: self.nodes[id.idx()].parent }
+        AncestorIter { tree: self, cur: self.nodes[id.index()].parent }
     }
 
     /// The root of the tree containing `id`.
@@ -459,7 +478,7 @@ impl Tree {
     pub fn check_consistency(&self) -> Result<(), String> {
         let mut seen = 0usize;
         for (i, root) in self.roots.iter().enumerate() {
-            if self.nodes[root.idx()].parent.is_some() {
+            if self.nodes[root.index()].parent.is_some() {
                 return Err(format!("root #{i} has a parent"));
             }
         }
@@ -467,7 +486,7 @@ impl Tree {
             seen += 1;
             let n = self.node(id);
             for &c in n.children() {
-                if self.nodes[c.idx()].parent != Some(id) {
+                if self.nodes[c.index()].parent != Some(id) {
                     return Err(format!("child {c:?} of {id:?} has wrong parent"));
                 }
             }

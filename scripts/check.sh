@@ -373,16 +373,22 @@ txbench_smoke() {
 }
 run_phase "txbench tests + ingest_churn --quick" txbench_smoke
 
-# Edit-script size: E10 asserts that deleting one of 150 siblings is one
-# op, and counts the moves along a TDocGen stream that never reorders —
-# a Move cascade (30+ per put before the LIS alignment) shows here.
-moves_per_put() {
-    local line
-    line=$(cargo run -q --offline -p txdb-bench --bin experiments -- e10 | grep 'moves per put')
-    echo "  $line"
-    awk '{ exit !($NF < 5) }' <<< "$line"
+# Put-path bookkeeping: E10 asserts that deleting one of 150 siblings is
+# one op, and along a TDocGen stream that never reorders it counts the
+# moves per put — a Move cascade (30+ per put before the LIS alignment)
+# shows here — and the B-tree pages decoded into entry vectors per put,
+# which only a split does (35 per put when every lookup decoded its path).
+put_path_counters() {
+    local out moves decodes
+    out=$(cargo run -q --offline -p txdb-bench --bin experiments -- e10)
+    moves=$(grep 'moves per put' <<< "$out")
+    decodes=$(grep 'B-tree page decodes per put' <<< "$out")
+    echo "  $moves"
+    echo "  $decodes"
+    awk '{ exit !($NF < 5) }' <<< "$moves"
+    awk '{ exit !($NF <= 1) }' <<< "$decodes"
 }
-run_phase "diff moves per put (experiments e10)" moves_per_put
+run_phase "put-path counters (experiments e10)" put_path_counters
 
 echo "== OK =="
 for i in "${!PHASES[@]}"; do

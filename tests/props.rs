@@ -14,6 +14,7 @@ use temporal_xml::index::fti::OccKind;
 use temporal_xml::index::maint::element_signature;
 use temporal_xml::wgen::{DocGen, DocGenConfig, RestaurantGuide};
 use temporal_xml::xml::codec::{decode_tree, encode_tree};
+use temporal_xml::xml::hash::Fnv64;
 use temporal_xml::xml::parse::parse_document;
 use temporal_xml::xml::serialize::to_string;
 use temporal_xml::xml::tree::{NodeId, Tree};
@@ -307,6 +308,32 @@ fn same_version_stream_gives_byte_identical_deltas() {
         let there = std::thread::spawn(generated_delta_bytes).join().unwrap();
         assert!(there == here, "run in a fresh thread differs");
     }
+}
+
+/// The diff's output is pinned, not just repeatable: a fixed TDocGen stream
+/// and a fixed restaurant-guide stream must encode to exactly these delta
+/// bytes. The digest was recorded before the matching tables moved from
+/// hash maps to arena-indexed vectors; a change of representation or speed
+/// must leave it alone, and a change of output has to say so here.
+#[test]
+fn delta_stream_digest_is_pinned() {
+    let cfg = DocGenConfig { items: 150, changes_per_version: 5, ..DocGenConfig::default() };
+    let mut docs = DocGen::new(cfg, 11);
+    let mut guide = RestaurantGuide::new(40, 3);
+    let mut deltas = generated_delta_bytes();
+    deltas.extend(stream_delta_bytes(docs.xml(), || docs.step()));
+    deltas.extend(stream_delta_bytes(guide.xml(), || guide.step(20)));
+    let mut h = Fnv64::new();
+    for d in &deltas {
+        h.write(d.as_bytes());
+        h.write_tag(0);
+    }
+    let bytes: usize = deltas.iter().map(String::len).sum();
+    assert_eq!(
+        (deltas.len(), bytes, h.finish()),
+        (48, 66713, 0x38cd_ae02_3030_9c17),
+        "encoded delta stream changed"
+    );
 }
 
 // --------------------------------------------- FTI snapshot consistency

@@ -340,6 +340,45 @@ fn rejected_writes_never_poison_the_wal() {
 }
 
 #[test]
+fn attribute_inserts_and_reorders_put_and_replay() {
+    // Regression: the diff's replay check compared attribute lists in
+    // order, so an attribute inserted mid-list (replay appends it) or a
+    // reorder failed the put after it was logged and sent the next open
+    // into salvage mode.
+    use temporal_xml::xml::equality::deep_eq;
+    let versions = [
+        r#"<r a="1" c="3"><v>1</v></r>"#,
+        r#"<r a="1" b="2" c="3"><v>1</v></r>"#,
+        r#"<r c="3" b="2" a="1"><v>2</v></r>"#,
+    ];
+    let dir = tmpdir("attr-order");
+    let o = opts(&dir);
+    {
+        let db = o.clone().open().unwrap();
+        for (i, v) in versions.iter().enumerate() {
+            db.put("d", v, ts(i as u64)).unwrap();
+        }
+        // Crash without checkpoint: reopen replays all three puts.
+    }
+    let db = o.clone().open().unwrap();
+    let report = db.recovery_report();
+    assert!(report.salvage.is_none(), "salvage: {:?}", report.salvage);
+    assert_eq!(report.replayed, 3);
+    let d = db.store().doc_id("d").unwrap().unwrap();
+    for (i, v) in versions.iter().enumerate() {
+        let want = temporal_xml::xml::parse_document(v).unwrap();
+        let got = db.store().version_tree(d, VersionId(i as u32)).unwrap();
+        assert!(
+            deep_eq(&got, got.root().unwrap(), &want, want.root().unwrap()),
+            "version {i}: {}",
+            temporal_xml::xml::to_string(&got)
+        );
+    }
+    db.put("d", r#"<r b="2"><v>3</v></r>"#, ts(10)).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn recovery_skips_logically_invalid_records() {
     // Defense in depth: if an unappliable record IS in the log (e.g.
     // written by a buggy or newer client), recovery skips it instead of
