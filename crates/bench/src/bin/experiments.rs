@@ -7,7 +7,7 @@
 //! ```
 //!
 //! The paper itself publishes no numbers — its only figure is the Figure 1
-//! example database — so F1 checks exact *results* and E2–E12 measure the
+//! example database — so F1 checks exact *results* and E2–E13 measure the
 //! performance claims the paper makes qualitatively (expected shapes are
 //! recorded in EXPERIMENTS.md).
 
@@ -60,6 +60,9 @@ fn main() {
     }
     if want("e10") {
         e10();
+    }
+    if want("e11") {
+        e11();
     }
     if want("e12") {
         e12();
@@ -587,6 +590,29 @@ fn e10() {
     println!("B-tree page decodes per put: {:.2}", per_put((decodes() - decodes_before) as f64));
 }
 
+/// E11 — PreviousTS/NextTS/CurrentTS: one delta-index lookup each.
+fn e11() {
+    println!("\n== E11: PreviousTS / NextTS / CurrentTS (§7.3.7) ==");
+    let twin = build_guides(GuideParams { docs: 1, versions: 64, ..Default::default() });
+    let db = &twin.temporal;
+    let doc = db.store().list().unwrap()[0].0;
+    let cur = db.store().current_tree(doc).unwrap();
+    let eid = Eid::new(doc, cur.node(cur.root().unwrap()).xid);
+    let mid = eid.at(twin.times[32]);
+    header("root element of a 64-version guide, probed at version 32", &["operator", "µs"]);
+    let probes: [(&str, &dyn Fn() -> Option<Timestamp>); 3] = [
+        ("PreviousTS", &|| db.previous_ts(mid).unwrap()),
+        ("NextTS", &|| db.next_ts(mid).unwrap()),
+        ("CurrentTS", &|| db.current_ts(eid).unwrap()),
+    ];
+    for (label, probe) in probes {
+        let us = time_us(1000, || {
+            std::hint::black_box(probe());
+        });
+        row(&[label.to_string(), format!("{us:.2}")]);
+    }
+}
+
 /// E12 — end-to-end query latency for the three paper query shapes.
 fn e12() {
     println!("\n== E12: end-to-end query latency (language pipeline) ==");
@@ -676,7 +702,3 @@ fn e13() {
         ]);
     }
 }
-
-// E11 (PreviousTS/NextTS/CurrentTS micro-costs) lives in the Criterion
-// bench `version_ts`; the operations are single delta-index lookups and
-// too fast for the wall-clock tables here.

@@ -1,7 +1,7 @@
-//! Shared infrastructure for the benchmark harness: twin-database
+//! Shared infrastructure for the `experiments` binary: twin-database
 //! builders (temporal engine + stratum baseline over the same update
-//! stream), timing helpers and table formatting for the `experiments`
-//! binary and the Criterion benches.
+//! stream), timing helpers and table formatting. End-to-end and
+//! per-layer performance is measured by `txbench`, not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

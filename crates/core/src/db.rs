@@ -93,15 +93,6 @@ impl DbOptions {
         self
     }
 
-    /// Enables or disables persistent index checkpoints (on by default).
-    /// Disabled, [`Database::checkpoint`] writes no index blob and every
-    /// open replays full history — the cold path the open benchmark
-    /// measures against.
-    pub fn index_checkpoints(mut self, on: bool) -> DbOptions {
-        self.index.checkpoints = on;
-        self
-    }
-
     /// Appends trace events (spans, recovery fallbacks) as JSON lines to
     /// `path`. Metrics are collected either way; the sink only adds the
     /// event log.
@@ -187,11 +178,6 @@ impl Database {
         let reg = self.store.metrics();
         let _span = reg.span("index.open_us");
         let mut r = IndexCheckpointReport::default();
-        if !self.indexes.config.checkpoints {
-            r.docs_replayed = self.store.list()?.len();
-            self.rebuild_indexes()?;
-            return Ok(r);
-        }
         let load_started = std::time::Instant::now();
         let ckpt = match self.store.read_index_checkpoint() {
             Ok(Some(blob)) => match persist::decode(&blob) {
@@ -274,12 +260,6 @@ impl Database {
         DbOptions::new().open().expect("in-memory open")
     }
 
-    /// In-memory database with a snapshot policy (§7.3.3).
-    #[deprecated(since = "0.2.0", note = "use DbOptions::new().snapshot_every(k).open()")]
-    pub fn in_memory_with_snapshots(every: u32) -> Database {
-        DbOptions::new().snapshot_every(every).open().expect("in-memory open")
-    }
-
     /// The underlying document store.
     pub fn store(&self) -> &DocumentStore {
         &self.store
@@ -327,9 +307,9 @@ impl Database {
         Ok(r)
     }
 
-    /// Checkpoints the database: flushes pages and truncates the WAL,
-    /// and (unless [`IndexConfig::checkpoints`] is off) persists the
-    /// in-memory indexes so the next open replays only what comes after.
+    /// Checkpoints the database: flushes pages, truncates the WAL and
+    /// persists the in-memory indexes so the next open replays only what
+    /// comes after.
     ///
     /// Ordering matters for crash safety: the store state (including the
     /// persistent EID index pages) is flushed *before* the index blob is
@@ -339,14 +319,11 @@ impl Database {
     /// EID pages would leave covered versions silently unindexed.
     pub fn checkpoint(&self) -> Result<()> {
         self.store.checkpoint()?;
-        if self.indexes.config.checkpoints {
-            let _span = self.store.metrics().span("checkpoint.index_write_us");
-            let covers = self.collect_covers()?;
-            let blob = self.indexes.encode_checkpoint(&covers);
-            self.store.write_index_checkpoint(&blob)?;
-            self.store.checkpoint()?;
-        }
-        Ok(())
+        let _span = self.store.metrics().span("checkpoint.index_write_us");
+        let covers = self.collect_covers()?;
+        let blob = self.indexes.encode_checkpoint(&covers);
+        self.store.write_index_checkpoint(&blob)?;
+        self.store.checkpoint()
     }
 
     /// Clean close: checkpoint (indexes included) and consume the handle,
@@ -654,23 +631,6 @@ mod tests {
         assert_eq!(snap.counter("recovery.index_fallback"), Some(1), "{}", snap.to_text());
         assert_eq!(db.indexes().fti().lookup("beta", OccKind::Word).len(), 1);
         assert_eq!(db.indexes().fti().lookup_h("alpha", OccKind::Word).len(), 1);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn checkpoints_disabled_always_full_replays() {
-        let dir = tmp_dir("ckpt-off");
-        let opts = DbOptions::at(&dir).index_checkpoints(false);
-        {
-            let db = opts.clone().open().unwrap();
-            db.put("g", "<a>alpha</a>", ts(1)).unwrap();
-            db.close().unwrap();
-        }
-        let db = opts.open().unwrap();
-        let r = &db.recovery_report().index_checkpoint;
-        assert_eq!(r.state, IndexCheckpointState::Absent);
-        assert_eq!(r.docs_replayed, 1);
-        assert_eq!(db.indexes().fti().lookup("alpha", OccKind::Word).len(), 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

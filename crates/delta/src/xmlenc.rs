@@ -141,10 +141,21 @@ fn annotate(t: &mut Tree, id: NodeId) {
             // Text nodes carry identity via a wrapper sibling convention:
             // their xid/ts is encoded on the parent as txdb:txid.N/txdb:tts.N
             // where N is the child index.
-            let (parent, pos, xid, ts) = {
+            let (mut parent, mut pos, xid, ts) = {
                 let p = t.node(n).parent().expect("payload text under element");
                 (p, t.position(n), t.node(n).xid, t.node(n).ts)
             };
+            // Two adjacent text nodes (a payload can hold them once a
+            // child between them moved out) would serialize as one run of
+            // characters and parse back as one node: host the later one
+            // in a <txdb:text> wrapper, as text roots are.
+            if pos > 0 && !t.node(t.node(parent).children()[pos - 1]).is_element() {
+                let wrap = t.new_element("txdb:text");
+                t.detach(n);
+                t.insert_child(parent, pos, wrap);
+                t.append_child(wrap, n);
+                (parent, pos) = (wrap, 0);
+            }
             t.set_attr(parent, format!("txdb:txid.{pos}"), xid.0.to_string());
             t.set_attr(parent, format!("txdb:tts.{pos}"), ts.micros().to_string());
         }
@@ -271,20 +282,23 @@ fn extract_payload(tree: &Tree, op_el: NodeId) -> Result<Tree> {
             out.remove_attr(n, &tk);
         }
     }
-    // Unwrap <txdb:text> hosts at the root level.
-    let roots: Vec<NodeId> = out.roots().to_vec();
-    for r in roots {
-        if out.node(r).name() == Some("txdb:text") {
-            let inner = out
-                .node(r)
-                .children()
-                .first()
-                .copied()
-                .ok_or_else(|| Error::Corrupt("empty txdb:text wrapper".into()))?;
-            let pos = out.position(r);
-            out.detach(inner);
-            out.remove_subtree(r);
-            out.insert_root(pos, inner);
+    // Unwrap <txdb:text> hosts: text roots, and text nodes that followed
+    // another text sibling.
+    let wrappers: Vec<NodeId> =
+        out.iter().filter(|&n| out.node(n).name() == Some("txdb:text")).collect();
+    for w in wrappers {
+        let inner = out
+            .node(w)
+            .children()
+            .first()
+            .copied()
+            .ok_or_else(|| Error::Corrupt("empty txdb:text wrapper".into()))?;
+        let (parent, pos) = (out.node(w).parent(), out.position(w));
+        out.detach(inner);
+        out.remove_subtree(w);
+        match parent {
+            Some(p) => out.insert_child(p, pos, inner),
+            None => out.insert_root(pos, inner),
         }
     }
     Ok(out)
@@ -484,6 +498,25 @@ mod tests {
         let mut replay = old.clone();
         decoded.apply_forward(&mut replay).unwrap();
         assert!(forest_identical(&replay, &new));
+        decoded.apply_backward(&mut replay).unwrap();
+        assert!(forest_identical(&replay, &old));
+    }
+
+    #[test]
+    fn adjacent_text_nodes_survive_the_text_roundtrip() {
+        // <p/> moves out of <a> before <a> is deleted, so the deleted
+        // subtree holds "red" and "zz" side by side; stored as text they
+        // used to parse back as one "redzz" node, and the backward delta
+        // rebuilt an <a> with one child too few.
+        use crate::diff::{diff_trees, forest_identical};
+        let old = payload("<r><a>red<p/>zz</a></r>", 1, 10);
+        let mut next = Xid(100);
+        let mut new = parse_document("<r><p/></r>").unwrap();
+        let t = Timestamp::from_micros;
+        let res = diff_trees(&old, &mut new, &mut next, VersionId(0), t(10), t(20)).unwrap();
+        let text = to_string(&delta_to_xml(&res.delta));
+        let decoded = delta_from_xml(&parse_document(&text).unwrap()).unwrap();
+        let mut replay = new.clone();
         decoded.apply_backward(&mut replay).unwrap();
         assert!(forest_identical(&replay, &old));
     }

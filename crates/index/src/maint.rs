@@ -53,17 +53,11 @@ pub struct IndexConfig {
     pub fti_mode: FtiMode,
     /// Maintain the §7.3.6 EID-time index.
     pub eid_index: bool,
-    /// Persist the in-memory indexes at checkpoint time and load them at
-    /// open, replaying only history above the checkpointed high-water
-    /// marks (O(index) open instead of O(history)). Disabling forces a
-    /// full replay at every open — the cold path the `open_bench`
-    /// experiment measures.
-    pub checkpoints: bool,
 }
 
 impl Default for IndexConfig {
     fn default() -> Self {
-        IndexConfig { fti_mode: FtiMode::Versions, eid_index: true, checkpoints: true }
+        IndexConfig { fti_mode: FtiMode::Versions, eid_index: true }
     }
 }
 

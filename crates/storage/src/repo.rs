@@ -395,7 +395,7 @@ pub struct RecoveryReport {
 /// Whether the open path could use the persisted index checkpoint.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub enum IndexCheckpointState {
-    /// No checkpoint had ever been written (or checkpoints are disabled).
+    /// No checkpoint had ever been written.
     #[default]
     Absent,
     /// The checkpoint loaded; only history above each document's
@@ -2075,6 +2075,20 @@ mod tests {
             assert_eq!(to_string(&t), format!("<g><p>{want}</p></g>"));
             assert_eq!(applied as u32, 3 - v, "backward chain length");
         }
+    }
+
+    #[test]
+    fn mixed_content_split_by_a_move_reconstructs_exactly() {
+        // <p/> leaves <a> before <a> is deleted, so the stored delta holds
+        // "red" and "zz" as adjacent text nodes; reloaded from its XML
+        // text they must stay two nodes for the backward walk to rebuild v0.
+        let store = DocumentStore::in_memory();
+        let doc = store.put("d", "<r><a>red<p/>zz</a></r>", ts(1)).unwrap().doc;
+        store.put("d", "<r><p/></r>", ts(2)).unwrap();
+        store.vcache().clear();
+        let (t, applied) = store.version_tree_counted(doc, VersionId(0)).unwrap();
+        assert_eq!(applied, 1);
+        assert_eq!(to_string(&t), "<r><a>red<p/>zz</a></r>");
     }
 
     #[test]

@@ -21,11 +21,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Index both version contents and delta operations (§7.2's third
     // alternative) so change queries are index-served too.
     let db = DbOptions::new()
-        .index_config(IndexConfig {
-            fti_mode: FtiMode::Both,
-            eid_index: true,
-            ..IndexConfig::default()
-        })
+        .index_config(IndexConfig { fti_mode: FtiMode::Both, ..IndexConfig::default() })
         .open()?;
 
     // Crawl 8 sites for ~3 weeks.

@@ -77,58 +77,14 @@ assert 'recovery.journal_replays' in d['counters'], sorted(d['counters'])" "$out
 }
 run_phase "crash sweep + journal metrics" crash_sweep
 
-# Streaming executor: the exec benchmark in quick mode drives the LIMIT
-# early-exit path, the stream()/run() first-row agreement assertions and
-# the exec.peak_rows_buffered gauge end to end, and must emit parseable
-# JSON with the speedup and peak figures.
-exec_bench_smoke() {
-    local root dir out
-    root=$(pwd)
-    dir=$(mktemp -d)
-    (cd "$dir" && EXEC_BENCH_QUICK=1 cargo run -q --offline \
-        --manifest-path "$root/Cargo.toml" -p txdb-bench --bin exec_bench > /dev/null)
-    out="$dir/BENCH_exec.json"
-    if command -v python3 > /dev/null 2>&1; then
-        python3 -c "import json,sys; d=json.load(open(sys.argv[1])); \
-assert d['speedup'] > 1.0 and 'peak_rows_buffered' in d and \
-d['limit1']['rows_scanned'] < d['full']['rows'], d" "$out"
-    else
-        grep -q '"speedup"' "$out" && grep -q '"peak_rows_buffered"' "$out"
-    fi
-    rm -rf "$dir"
-}
-run_phase "exec_bench smoke (streaming executor)" exec_bench_smoke
-
 # Concurrency: the dedicated stress/differential suite (shared-handle
 # readers vs serial replay, pinned snapshots fencing vacuum, racing
-# writers + vacuum, durable group commit), then the concurrency
-# benchmark in quick mode, whose JSON must carry a group-commit batch
-# histogram accounting for every commit (sum == total puts at the
-# 8-thread point) and per-thread-count throughput figures.
+# writers + vacuum, durable group commit whose batch histogram accounts
+# for every commit).
 concurrency_stress() {
     cargo test -q --offline -p temporal-xml --test concurrency
 }
 run_phase "concurrency stress + differential" concurrency_stress
-
-concurrency_bench_smoke() {
-    local root dir out
-    root=$(pwd)
-    dir=$(mktemp -d)
-    (cd "$dir" && CONCURRENCY_BENCH_QUICK=1 cargo run -q --offline \
-        --manifest-path "$root/Cargo.toml" -p txdb-bench --bin concurrency_bench > /dev/null)
-    out="$dir/BENCH_concurrency.json"
-    if command -v python3 > /dev/null 2>&1; then
-        python3 -c "import json,sys; d=json.load(open(sys.argv[1])); \
-runs=d['commit']['runs']; \
-assert all(r['batch_histogram']['sum'] == r['puts'] for r in runs), runs; \
-assert runs[-1]['threads'] == 8 and runs[-1]['batch_histogram']['max'] >= 1, runs; \
-assert all(r['queries_per_sec'] > 0 for r in d['readers']['runs']), d['readers']" "$out"
-    else
-        grep -q '"batch_histogram"' "$out" && grep -q '"queries_per_sec"' "$out"
-    fi
-    rm -rf "$dir"
-}
-run_phase "concurrency_bench smoke (group commit)" concurrency_bench_smoke
 
 # Server: boot `txdb serve` on an ephemeral port with stdin held open
 # (stdin EOF is the host-side drain trigger), drive one scripted wire
@@ -330,48 +286,23 @@ PYEOF
 }
 run_phase "obs trace smoke (slow log + span tree)" obs_trace_smoke
 
-# Over-the-wire benchmark in quick mode: durable PUTs and streamed
-# QUERYs across 1/2/4/8 wire clients. The binary itself asserts the
-# group-commit histogram accounts for every wire commit and that no
-# pins leak past the drain; the JSON must carry per-client-count rates
-# and the in-process baseline.
-server_bench_smoke() {
-    local root dir out
-    root=$(pwd)
-    dir=$(mktemp -d)
-    (cd "$dir" && SERVER_BENCH_QUICK=1 cargo run -q --offline \
-        --manifest-path "$root/Cargo.toml" -p txdb-bench --bin server_bench > /dev/null)
-    out="$dir/BENCH_server.json"
-    if command -v python3 > /dev/null 2>&1; then
-        python3 -c "import json,sys; d=json.load(open(sys.argv[1])); \
-runs=d['puts']['runs']; \
-assert [r['clients'] for r in runs] == [1, 2, 4, 8], runs; \
-assert all(r['puts_per_sec'] > 0 and 0 < r['fsyncs'] <= r['puts'] for r in runs), runs; \
-assert d['queries']['inprocess_serial_qps'] > 0, d['queries']; \
-assert all(r['queries_per_sec'] > 0 for r in d['queries']['runs']), d['queries']; \
-assert d['latency']['query_us']['count'] > 0, d['latency']; \
-assert all(r['latency_us']['p99'] >= r['latency_us']['p50'] for r in runs), runs; \
-assert d['tracing']['traced_1c_qps'] > 0, d['tracing']" "$out"
-    else
-        grep -q '"puts_per_sec"' "$out" && grep -q '"inprocess_serial_qps"' "$out"
-    fi
-    rm -rf "$dir"
-}
-run_phase "server_bench smoke (over the wire)" server_bench_smoke
-
 # txbench: its own tests (same seed ⇒ same lists, span invariants,
-# BENCHMARK.json ≡ harness), then the write-path workload in quick mode,
-# which must check every answer and fail no operation.
+# BENCHMARK.json ≡ harness), then every workload in quick mode. Each run
+# checks its warm-up answers against the stratum oracle and every wire
+# answer byte for byte against the in-process one; any wrong answer
+# (`correct:false`) or failed operation fails the gate.
 txbench_smoke() {
     cargo test -q --offline --manifest-path txbench/Cargo.toml
-    local out
-    out=$(cargo run --release --offline --quiet --manifest-path txbench/Cargo.toml -- \
-        --workload ingest_churn --quick | tail -n 1)
-    echo "  $out" | cut -c1-160
-    grep -q '"correct":true' <<< "$out"
-    grep -q '"failed":0,' <<< "$out"
+    local workload out
+    for workload in snap_hot snap_cold history_scan ingest_churn; do
+        out=$(cargo run --release --offline --quiet --manifest-path txbench/Cargo.toml -- \
+            --workload "$workload" --quick | tail -n 1)
+        echo "  $workload: $out" | cut -c1-160
+        grep -q '"correct":true' <<< "$out"
+        grep -q '"failed":0,' <<< "$out"
+    done
 }
-run_phase "txbench tests + ingest_churn --quick" txbench_smoke
+run_phase "txbench tests + all workloads --quick" txbench_smoke
 
 # Put-path bookkeeping: E10 asserts that deleting one of 150 siblings is
 # one op, and along a TDocGen stream that never reorders it counts the

@@ -588,38 +588,47 @@ proptest! {
 
     /// Loading a persisted index checkpoint must be invisible: after an
     /// arbitrary interleaving of puts, deletes, vacuums and mid-run
-    /// checkpoints, a reopen that loads the checkpoint (plus tail replay)
-    /// and a reopen that replays the full history answer `lookup`,
-    /// `lookup_t` and `lookup_h` identically for every probe word at
-    /// every write timestamp.
+    /// checkpoints, a reopen that loads the checkpoint answers `lookup`,
+    /// `lookup_t` and `lookup_h` for every probe word at every write
+    /// timestamp exactly as a full-replay reference does: a second store
+    /// fed the same ops minus the checkpoints and dropped without
+    /// `close()`, so its open finds no index blob at all. Half the cases
+    /// drop the checkpointed store without `close()` too, so its open
+    /// loads the last mid-run checkpoint and replays the WAL tail above it.
     #[test]
-    fn checkpoint_load_equals_full_replay(ops in prop::collection::vec(ckpt_op_strategy(), 1..20)) {
+    fn checkpoint_load_equals_full_replay(
+        ops in prop::collection::vec(ckpt_op_strategy(), 1..20),
+        close in any::<bool>(),
+    ) {
         use std::sync::atomic::{AtomicUsize, Ordering};
+        use temporal_xml::storage::IndexCheckpointState;
         use temporal_xml::DbOptions;
 
         static CASE: AtomicUsize = AtomicUsize::new(0);
-        let dir = std::env::temp_dir().join(format!(
-            "txdb-props-ckpt-{}-{}",
-            std::process::id(),
-            CASE.fetch_add(1, Ordering::Relaxed)
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
+        let case = CASE.fetch_add(1, Ordering::Relaxed);
+        let dir_for = |kind: &str| {
+            let dir = std::env::temp_dir()
+                .join(format!("txdb-props-ckpt-{kind}-{}-{case}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            dir
+        };
+        let (dir, reference_dir) = (dir_for("loaded"), dir_for("replayed"));
 
         let name = |d: usize| format!("doc{d}");
         let mut times = Vec::new();
-        {
-            let db = DbOptions::at(&dir).open().unwrap();
+        for (checkpointed, dir) in [(true, &dir), (false, &reference_dir)] {
+            let db = DbOptions::at(dir).open().unwrap();
             for (step, op) in ops.iter().enumerate() {
                 let now = Timestamp::from_secs(10 + step as u64);
                 match op {
                     CkptOp::Put(d, spec) => {
                         let xml = to_string(&tree_from(spec));
-                        if db.put(&name(*d), &xml, now).unwrap().changed {
+                        if db.put(&name(*d), &xml, now).unwrap().changed && checkpointed {
                             times.push(now);
                         }
                     }
                     CkptOp::Delete(d) => {
-                        if db.delete(&name(*d), now).unwrap().is_some() {
+                        if db.delete(&name(*d), now).unwrap().is_some() && checkpointed {
                             times.push(now);
                         }
                     }
@@ -628,18 +637,20 @@ proptest! {
                             Timestamp::from_secs(10 + step as u64 * u64::from(*f) / 4);
                         let _ = db.vacuum(&name(*d), horizon).unwrap();
                     }
-                    CkptOp::Checkpoint => db.checkpoint().unwrap(),
+                    CkptOp::Checkpoint if checkpointed => db.checkpoint().unwrap(),
+                    CkptOp::Checkpoint => {}
                 }
             }
-            db.close().unwrap();
+            if checkpointed && close {
+                db.close().unwrap();
+            }
         }
 
         // Gather every answer from the checkpoint-loaded handle first,
-        // then from a full-replay handle (sequentially — the store is
-        // single-writer), and compare.
+        // then from the full-replay reference, and compare.
         let words = ["red", "blue", "15", "hello", "zz", "item", "name"];
-        let answers = |checkpoints: bool| {
-            let db = DbOptions::at(&dir).index_checkpoints(checkpoints).open().unwrap();
+        let answers = |dir: &std::path::Path| {
+            let db = DbOptions::at(dir).open().unwrap();
             let report = db.recovery_report().index_checkpoint.clone();
             let fti = db.indexes().fti();
             let mut out: Vec<(String, Vec<String>)> = Vec::new();
@@ -665,22 +676,21 @@ proptest! {
             }
             (report, out)
         };
-        let (loaded_report, loaded) = answers(true);
-        let (replayed_report, replayed) = answers(false);
+        let (loaded_report, loaded) = answers(&dir);
+        let (replayed_report, replayed) = answers(&reference_dir);
+        let checkpointed = close || ops.iter().any(|op| matches!(op, CkptOp::Checkpoint));
         prop_assert_eq!(
             loaded_report.state,
-            temporal_xml::storage::IndexCheckpointState::Loaded,
-            "close() must leave a loadable checkpoint (note: {:?})",
+            if checkpointed { IndexCheckpointState::Loaded } else { IndexCheckpointState::Absent },
+            "every checkpoint must leave a loadable blob (note: {:?})",
             loaded_report.note
         );
-        prop_assert_eq!(
-            replayed_report.state,
-            temporal_xml::storage::IndexCheckpointState::Absent
-        );
+        prop_assert_eq!(replayed_report.state, IndexCheckpointState::Absent);
         for ((la, lv), (ra, rv)) in loaded.iter().zip(&replayed) {
             prop_assert_eq!(la, ra);
             prop_assert_eq!(lv, rv, "checkpoint-loaded and replayed answers differ for {}", la);
         }
         std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_dir_all(&reference_dir).unwrap();
     }
 }

@@ -309,6 +309,9 @@ fn streaming_limit_early_exits_and_bounds_memory() {
     let all: Vec<_> = (&mut full).collect::<Result<Vec<_>, _>>().unwrap();
     assert_eq!(all.len(), 200);
     let full_peak = full.peak_rows_buffered();
+    // The exhausted stream published its peak to the registry.
+    let gauge = db.metrics().snapshot().gauge("exec.peak_rows_buffered");
+    assert_eq!(gauge, Some(full_peak as u64), "gauge must report the stream's peak");
 
     // LIMIT 1: one row out, scan work cut short.
     let mut one = db.query(q).at(ts(1000)).limit(1).stream().unwrap();

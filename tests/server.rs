@@ -301,6 +301,64 @@ fn graceful_shutdown_leaves_store_clean_with_zero_pins() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// Durable wire PUTs from concurrent clients funnel into the WAL group
+/// commit like in-process writers: every commit crosses exactly one fsync
+/// barrier, the drain leaves no pin behind, and a crash image of the
+/// store taken after the last acknowledged PUT — before any checkpoint —
+/// recovers every version from the WAL alone.
+#[test]
+fn durable_wire_commits_share_fsyncs_and_survive_a_crash() {
+    const CLIENTS: u64 = 4;
+    const PUTS: u64 = 8;
+    let dir = std::env::temp_dir().join(format!("txdb-server-durable-{}", std::process::id()));
+    let crash = dir.with_extension("crash");
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&crash);
+    let db = Arc::new(DbOptions::at(&dir).wal_sync(true).open().unwrap());
+    let server = start(Arc::clone(&db));
+    let addr = server.addr();
+    std::thread::scope(|s| {
+        for c in 0..CLIENTS {
+            s.spawn(move || {
+                let mut client = Client::connect(addr).unwrap();
+                for i in 0..PUTS {
+                    let xml = format!("<a><v>{i}</v></a>");
+                    let r =
+                        client.put(&format!("doc-{c}"), &xml, Some(ts(i + 1).micros())).unwrap();
+                    assert!(r.changed);
+                }
+            });
+        }
+    });
+    let batches = db.metrics().snapshot().histogram("wal.group_commit.batch_size").unwrap();
+    assert_eq!(batches.sum, CLIENTS * PUTS, "every wire commit crosses exactly one fsync barrier");
+    // The pool is no-steal and nothing has checkpointed: the store files
+    // as they stand are what a crash right now would leave behind.
+    std::fs::create_dir_all(&crash).unwrap();
+    for entry in std::fs::read_dir(&dir).unwrap() {
+        let path = entry.unwrap().path();
+        std::fs::copy(&path, crash.join(path.file_name().unwrap())).unwrap();
+    }
+    server.shutdown().unwrap();
+    assert_eq!(
+        db.metrics().snapshot().gauge("db.active_snapshots"),
+        Some(0),
+        "drain leaked a session or cursor pin"
+    );
+    drop(db);
+
+    let db = DbOptions::at(&crash).open().unwrap();
+    assert!(db.recovery_report().salvage.is_none());
+    assert_eq!(db.recovery_report().replayed as u64, CLIENTS * PUTS);
+    for c in 0..CLIENTS {
+        let q = format!(r#"SELECT R/v FROM doc("doc-{c}")[EVERY]//a R"#);
+        assert_eq!(db.query(&q).at(ts(PUTS + 1)).run().unwrap().len() as u64, PUTS, "doc-{c}");
+    }
+    drop(db);
+    std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::remove_dir_all(&crash).unwrap();
+}
+
 /// An answer many times the session's write buffer streams without
 /// stalling. With Nagle's algorithm left on for accepted sockets four in
 /// five such answers waited ~40 ms for the client's delayed ACK before
