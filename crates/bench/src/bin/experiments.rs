@@ -476,6 +476,29 @@ fn e9() {
         });
         row(&[format!("last {len}"), n.to_string(), fmt1(t_doc), deltas.to_string(), fmt1(t_elem)]);
     }
+    // The executor's [EVERY] path over the same history, on a cold version
+    // cache: one walk seeded by one point reconstruction, then one forward
+    // delta per version. `scripts/check.sh` gates on these counters.
+    db.store().vcache().clear();
+    let inserts0 = db.store().vcache_stats().snapshot().2;
+    let started = std::time::Instant::now();
+    let r = db.query(r#"SELECT TIME(R) FROM doc("d")[EVERY]//item R"#).run().unwrap();
+    let us = started.elapsed().as_secs_f64() * 1e6;
+    let inserts = db.store().vcache_stats().snapshot().2 - inserts0;
+    header(
+        "executor: one [EVERY] query over all versions, cold version cache",
+        &["query", "versions", "rows", "recon", "deltas", "vcache.ins", "reseeds", "µs"],
+    );
+    row(&[
+        "every-cold".to_string(),
+        (total + 1).to_string(),
+        r.len().to_string(),
+        r.stats.reconstructions.to_string(),
+        r.stats.deltas_applied.to_string(),
+        inserts.to_string(),
+        r.stats.reseeds.to_string(),
+        fmt1(us),
+    ]);
 }
 
 /// Parses `xml` and numbers its nodes 1..n, as a stored version would be.

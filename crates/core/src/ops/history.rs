@@ -16,6 +16,7 @@
 //!   whole deltas must be read anyway, which the cost counters show.
 
 use txdb_base::{Eid, Error, Interval, Result, Teid, Timestamp, VersionId};
+use txdb_delta::Walk;
 use txdb_storage::repo::VersionKind;
 use txdb_xml::tree::Tree;
 
@@ -105,7 +106,8 @@ impl Database {
         // target version is looked up before its deltas are read, so a
         // warm walk costs zero deltas, and every version materialized
         // here is offered back to the cache for later point queries.
-        let (mut tree, mut deltas_read) = self.store().version_tree_counted(doc, newest)?;
+        let (tree, mut deltas_read) = self.store().version_tree_counted(doc, newest)?;
+        let mut walk = Walk::new(tree);
         let mut out = Vec::with_capacity(in_range.len());
         let mut cursor = newest;
         for &(v, ts) in in_range.iter().rev() {
@@ -113,11 +115,11 @@ impl Database {
             // cheaper than reading the `cursor - v` deltas in between.
             if cursor > v {
                 if let Some(cached) = self.store().cached_version(doc, v) {
-                    tree = cached;
+                    walk = Walk::new(cached);
                     cursor = v;
                 }
             }
-            // Move the working tree from `cursor` down to `v`.
+            // Move the walk from `cursor` down to `v`.
             while cursor > v {
                 let entry = &entries[cursor.0 as usize];
                 if entry.delta_rid.is_some() {
@@ -125,45 +127,15 @@ impl Database {
                         .store()
                         .delta(doc, cursor)?
                         .ok_or_else(|| Error::Corrupt("missing delta".into()))?;
-                    delta.apply_backward(&mut tree)?;
+                    walk.backward(&delta)?;
                     deltas_read += 1;
                 }
                 cursor = VersionId(cursor.0 - 1);
             }
-            self.store().cache_version(doc, v, &tree);
-            out.push(DocVersion { version: v, ts, tree: tree.clone() });
+            self.store().cache_version(doc, v, walk.tree());
+            out.push(DocVersion { version: v, ts, tree: (**walk.tree()).clone() });
         }
         Ok((out, deltas_read))
-    }
-
-    /// `DocHistory` over many documents at once, one document per worker
-    /// of the scan pool (the store is multi-reader; no document's walk
-    /// depends on another's). Results come back in input order.
-    pub fn doc_histories(
-        &self,
-        docs: &[txdb_base::DocId],
-        interval: Interval,
-    ) -> Result<Vec<(txdb_base::DocId, Vec<DocVersion>)>> {
-        super::parallel::parallel_map(docs, |&doc| {
-            self.doc_history(doc, interval).map(|h| (doc, h))
-        })
-        .into_iter()
-        .collect()
-    }
-
-    /// Warms the materialized-version cache for a batch of
-    /// `(doc, version)` reconstruction targets on the scan worker pool.
-    /// Query execution calls this before a multi-document tree scan so
-    /// the per-row reconstructions that follow hit the cache. A no-op
-    /// when the cache is disabled (there would be nowhere to keep the
-    /// result). Unknown versions are skipped, not errors.
-    pub fn prefetch_versions(&self, targets: &[(txdb_base::DocId, VersionId)]) {
-        if self.store().vcache().is_disabled() || targets.is_empty() {
-            return;
-        }
-        super::parallel::parallel_map(targets, |&(doc, v)| {
-            let _ = self.store().version_tree_counted(doc, v);
-        });
     }
 
     /// `ElementHistory(EID, t1, t2)` — all versions of the element valid in

@@ -1,10 +1,9 @@
 //! Small scoped worker pool for multi-document temporal scans.
 //!
 //! The store is single-writer/multi-reader ([`crate::Database`] is `Sync`),
-//! so per-document work — the structural join of `TPatternScanAll`, the
-//! backward walks of `DocHistory` over many documents, version prefetch —
-//! parallelises trivially: no document's work depends on another's. This
-//! module provides the one primitive they all share: an order-preserving
+//! so per-document work — the structural join of the materialising pattern
+//! scans — parallelises trivially: no document's work depends on another's.
+//! This module provides the primitive: an order-preserving
 //! parallel map over a slice, executed on `std::thread::scope` workers with
 //! a work-stealing index (no channels, no allocation per task beyond the
 //! result slot).

@@ -14,45 +14,69 @@
 //! that the current version's timestamp "is given implicitly".
 
 use txdb_base::{Eid, Error, Result, Teid, Timestamp};
-use txdb_storage::repo::VersionKind;
+use txdb_storage::repo::{VersionEntry, VersionKind};
 
 use crate::db::Database;
+
+/// Which version [`neighbour`] looks for.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Neighbour {
+    /// The content version before the one valid at the TEID's time.
+    Previous,
+    /// The content version after it.
+    Next,
+    /// The document's current version.
+    Current,
+}
+
+/// The delta-index lookup behind `PreviousTS`/`NextTS`/`CurrentTS`, over
+/// one document's version list (`entries`, as
+/// [`txdb_storage::repo::DocumentStore::versions`] returns it). `Previous` and
+/// `Next` fail with [`Error::NotValidAt`] when no content version is
+/// valid at `teid`'s time.
+pub fn neighbour(
+    entries: &[VersionEntry],
+    teid: Teid,
+    which: Neighbour,
+) -> Result<Option<&VersionEntry>> {
+    let content = |e: &&VersionEntry| e.kind == VersionKind::Content;
+    if which == Neighbour::Current {
+        return Ok(entries.last().filter(|e| e.kind != VersionKind::Tombstone));
+    }
+    let v = entries
+        .partition_point(|e| e.ts <= teid.ts)
+        .checked_sub(1)
+        .filter(|&i| entries[i].kind == VersionKind::Content)
+        .ok_or(Error::NotValidAt(teid.doc(), teid.ts))?;
+    Ok(if which == Neighbour::Previous {
+        entries[..v].iter().rev().find(content)
+    } else {
+        entries[v + 1..].iter().find(content)
+    })
+}
 
 impl Database {
     /// `PreviousTS(TEID)` — the timestamp of the previous (content) version
     /// of the element's document.
     pub fn previous_ts(&self, teid: Teid) -> Result<Option<Timestamp>> {
-        let doc = teid.doc();
-        let v = self.store().version_at(doc, teid.ts)?.ok_or(Error::NotValidAt(doc, teid.ts))?;
-        let entries = self.store().versions(doc)?;
-        Ok(entries[..v.0 as usize]
-            .iter()
-            .rev()
-            .find(|e| e.kind == VersionKind::Content)
-            .map(|e| e.ts))
+        self.neighbour_ts(teid, Neighbour::Previous)
     }
 
     /// `NextTS(TEID)` — the timestamp of the next (content) version.
     pub fn next_ts(&self, teid: Teid) -> Result<Option<Timestamp>> {
-        let doc = teid.doc();
-        let v = self.store().version_at(doc, teid.ts)?.ok_or(Error::NotValidAt(doc, teid.ts))?;
-        let entries = self.store().versions(doc)?;
-        Ok(entries[(v.0 as usize + 1)..]
-            .iter()
-            .find(|e| e.kind == VersionKind::Content)
-            .map(|e| e.ts))
+        self.neighbour_ts(teid, Neighbour::Next)
     }
 
     /// `CurrentTS(EID)` — the timestamp of the current version of the
     /// element's document ("timestamp is not needed for the current
     /// version, as this is given implicitly"); `None` if deleted.
     pub fn current_ts(&self, eid: Eid) -> Result<Option<Timestamp>> {
-        let entries = self.store().versions(eid.doc)?;
-        let Some(last) = entries.last() else { return Ok(None) };
-        if last.kind == VersionKind::Tombstone {
-            return Ok(None);
-        }
-        Ok(Some(last.ts))
+        self.neighbour_ts(eid.at(Timestamp::FOREVER), Neighbour::Current)
+    }
+
+    fn neighbour_ts(&self, teid: Teid, which: Neighbour) -> Result<Option<Timestamp>> {
+        let entries = self.store().versions(teid.doc())?;
+        Ok(neighbour(&entries, teid, which)?.map(|e| e.ts))
     }
 }
 

@@ -104,10 +104,11 @@ pub fn diff_trees(
 
     // Generate the script on a working copy.
     let mut work = old.clone();
+    let mut work_map = work.xid_map();
     let mut gen = ScriptGen {
         new,
         matching: &matching,
-        applier: Applier::new(&mut work),
+        applier: Applier::new(&mut work, &mut work_map),
         ops: Vec::new(),
         to_ts,
     };

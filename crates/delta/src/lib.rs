@@ -8,9 +8,10 @@
 //! scratch in the style of XyDiff (Cobéna, Abiteboul & Marian — the paper's
 //! reference \[7\] and the diff used by Xyleme):
 //!
-//! * [`ops`] — the edit operations ([`EditOp`]), the [`Delta`] container and
+//! * [`ops`] — the edit operations ([`EditOp`]), the [`Delta`] container,
 //!   forward/backward application with full invertibility
-//!   (`apply_forward ∘ apply_backward = id`);
+//!   (`apply_forward ∘ apply_backward = id`), and the [`Walk`] that steps
+//!   one tree along a delta chain with a single XID map;
 //! * [`diff`] — the tree-diff algorithm: bottom-up subtree hashing, greedy
 //!   matching of heaviest identical subtrees, upward label propagation and
 //!   LCS-based child alignment, emitting a minimal-ish edit script while
@@ -29,5 +30,5 @@ pub mod ops;
 pub mod xmlenc;
 
 pub use diff::{diff_trees, DiffResult};
-pub use ops::{Delta, EditOp};
+pub use ops::{Delta, EditOp, Walk};
 pub use xmlenc::{delta_from_xml, delta_to_xml};

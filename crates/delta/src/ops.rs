@@ -26,6 +26,18 @@
 //!
 //! Each op records the displaced old timestamps so backward application
 //! restores them exactly.
+//!
+//! ### Attribute order
+//!
+//! A `SetAttr` records no position, so an attribute it adds — forward, or
+//! backward when undoing a removal — goes where name order puts it. The
+//! store keeps every version's attributes in name order
+//! (`DocumentStore::put_tree` sorts them on the way in), and with that
+//! one rule a version stepped forward equals the same version rebuilt
+//! backward, attribute order included.
+
+use std::collections::HashMap;
+use std::rc::Rc;
 
 use txdb_base::{Error, Result, Timestamp, VersionId, Xid};
 use txdb_xml::tree::{NodeId, Tree};
@@ -158,17 +170,27 @@ impl Delta {
     }
 
     /// Applies the delta forward (version `from` → `to`), mutating `tree`.
+    /// Builds an XID map for this one delta; a chain of deltas should go
+    /// through a [`Walk`], which keeps its map across steps.
     pub fn apply_forward(&self, tree: &mut Tree) -> Result<()> {
-        let mut applier = Applier::new(tree);
+        let mut map = tree.xid_map();
+        self.forward_with(&mut Applier::new(tree, &mut map))
+    }
+
+    /// Applies the delta backward (version `to` → `from`), mutating `tree`.
+    pub fn apply_backward(&self, tree: &mut Tree) -> Result<()> {
+        let mut map = tree.xid_map();
+        self.backward_with(&mut Applier::new(tree, &mut map))
+    }
+
+    fn forward_with(&self, applier: &mut Applier<'_>) -> Result<()> {
         for op in &self.ops {
             applier.apply(op, self.to_ts)?;
         }
         Ok(())
     }
 
-    /// Applies the delta backward (version `to` → `from`), mutating `tree`.
-    pub fn apply_backward(&self, tree: &mut Tree) -> Result<()> {
-        let mut applier = Applier::new(tree);
+    fn backward_with(&self, applier: &mut Applier<'_>) -> Result<()> {
         for op in self.ops.iter().rev() {
             applier.apply_inverse(op)?;
         }
@@ -209,18 +231,67 @@ impl Delta {
     }
 }
 
+/// One document version stepped in place along its delta chain: the
+/// tree and its XID → NodeId map, built once when the walk starts and
+/// kept in step by every delta applied after (the §7.3.4 incremental
+/// walk pays one delta per version, not one delta plus one map).
+///
+/// The tree is shared: [`Walk::tree`] hands out `Rc` clones, and a step
+/// copies the tree only while such a clone is still alive
+/// (`Rc::make_mut`). Arena ids survive the copy, so the map stays valid.
+/// A step that fails leaves the tree half-applied; drop the walk.
+#[derive(Debug)]
+pub struct Walk {
+    tree: Rc<Tree>,
+    map: HashMap<Xid, NodeId>,
+}
+
+impl Walk {
+    /// Starts a walk on `tree` (builds its XID map).
+    pub fn new(tree: impl Into<Rc<Tree>>) -> Walk {
+        let tree = tree.into();
+        let map = tree.xid_map();
+        Walk { tree, map }
+    }
+
+    /// Steps to the next version by applying `delta` forward.
+    pub fn forward(&mut self, delta: &Delta) -> Result<()> {
+        delta.forward_with(&mut Applier::new(Rc::make_mut(&mut self.tree), &mut self.map))
+    }
+
+    /// Steps to the previous version by applying `delta` backward.
+    pub fn backward(&mut self, delta: &Delta) -> Result<()> {
+        delta.backward_with(&mut Applier::new(Rc::make_mut(&mut self.tree), &mut self.map))
+    }
+
+    /// The version the walk stands on.
+    pub fn tree(&self) -> &Rc<Tree> {
+        &self.tree
+    }
+
+    /// The node carrying `xid` in the walk's tree.
+    pub fn node(&self, xid: Xid) -> Option<NodeId> {
+        self.map.get(&xid).copied()
+    }
+
+    /// Ends the walk, returning its tree (copied only if still shared).
+    pub fn into_tree(self) -> Tree {
+        Rc::try_unwrap(self.tree).unwrap_or_else(|shared| (*shared).clone())
+    }
+}
+
 /// Applies ops against a tree, maintaining an XID → NodeId map
 /// incrementally (deletes invalidate arena ids, so the map is updated on
 /// every structural op). Also used by the diff to replay the script it is
 /// generating, guaranteeing that recorded positions match forward replay.
 pub(crate) struct Applier<'a> {
     tree: &'a mut Tree,
-    map: std::collections::HashMap<Xid, NodeId>,
+    map: &'a mut HashMap<Xid, NodeId>,
 }
 
 impl<'a> Applier<'a> {
-    pub(crate) fn new(tree: &'a mut Tree) -> Self {
-        let map = tree.xid_map();
+    /// An applier over `tree`; `map` must be `tree`'s XID map.
+    pub(crate) fn new(tree: &'a mut Tree, map: &'a mut HashMap<Xid, NodeId>) -> Self {
         Applier { tree, map }
     }
 
@@ -350,12 +421,7 @@ impl<'a> Applier<'a> {
                         "setattr {key} on {xid}: expected {old:?}, found {current:?}"
                     )));
                 }
-                match new {
-                    Some(v) => self.tree.set_attr(n, key.clone(), v.clone()),
-                    None => {
-                        self.tree.remove_attr(n, key);
-                    }
-                }
+                self.set_attr(n, key, new.as_deref());
                 self.tree.node_mut(n).ts = to_ts;
                 Ok(())
             }
@@ -409,12 +475,7 @@ impl<'a> Applier<'a> {
                         "backward setattr {key} on {xid}: expected {new:?}, found {current:?}"
                     )));
                 }
-                match old {
-                    Some(v) => self.tree.set_attr(n, key.clone(), v.clone()),
-                    None => {
-                        self.tree.remove_attr(n, key);
-                    }
-                }
+                self.set_attr(n, key, old.as_deref());
                 self.tree.node_mut(n).ts = *old_ts;
                 Ok(())
             }
@@ -437,6 +498,20 @@ impl<'a> Applier<'a> {
                     self.tree.node_mut(p).ts = *old_parent_ts;
                 }
                 Ok(())
+            }
+        }
+    }
+
+    /// Sets (`Some`) or removes (`None`) an attribute, keeping the
+    /// element's attributes in name order (see the module docs).
+    fn set_attr(&mut self, n: NodeId, key: &str, value: Option<&str>) {
+        match value {
+            Some(v) => {
+                self.tree.set_attr(n, key, v);
+                self.tree.sort_attrs(n);
+            }
+            None => {
+                self.tree.remove_attr(n, key);
             }
         }
     }
@@ -709,6 +784,67 @@ mod tests {
         assert_eq!(to_string(&t), "<a/><b/>");
         d.apply_backward(&mut t).unwrap();
         assert_eq!(to_string(&t), "<a/>");
+    }
+
+    #[test]
+    fn walk_steps_in_place_and_copies_only_a_shared_tree() {
+        let d1 = delta(vec![EditOp::UpdateText {
+            xid: Xid(3),
+            old: "15".into(),
+            new: "18".into(),
+            old_ts: Timestamp::from_micros(100),
+        }]);
+        let mut d2 = delta(vec![EditOp::InsertSubtree {
+            parent: Xid(1),
+            pos: 1,
+            subtree: payload("<q>x</q>", 10, 300),
+        }]);
+        d2.to_ts = Timestamp::from_micros(300);
+        let mut walk = Walk::new(tree_with_xids("<p><price>15</price></p>", 100));
+        let before = Rc::as_ptr(walk.tree());
+        walk.forward(&d1).unwrap();
+        assert_eq!(Rc::as_ptr(walk.tree()), before, "an unshared tree is stepped in place");
+        let held = walk.tree().clone();
+        walk.forward(&d2).unwrap();
+        assert_eq!(to_string(&held), "<p><price>18</price></p>", "a held version stays put");
+        assert_eq!(to_string(walk.tree()), "<p><price>18</price><q>x</q></p>");
+        // The map followed both steps, through the copy.
+        let q = walk.node(Xid(10)).unwrap();
+        assert_eq!(walk.tree().node(q).name(), Some("q"));
+        assert_eq!(walk.node(Xid(3)), held.find_xid(Xid(3)), "arena ids survive the copy");
+        walk.backward(&d2).unwrap();
+        walk.backward(&d1).unwrap();
+        assert_eq!(walk.node(Xid(10)), None);
+        let back = walk.into_tree();
+        assert_eq!(to_string(&back), "<p><price>15</price></p>");
+        assert_eq!(back.node(back.find_xid(Xid(3)).unwrap()).ts, Timestamp::from_micros(100));
+    }
+
+    #[test]
+    fn setattr_keeps_attributes_in_name_order_both_ways() {
+        // Removing `a` then undoing it must put `a` back first, where a
+        // version stored in name order has it.
+        let mut t = tree_with_xids(r#"<e a="1" m="2"/>"#, 100);
+        let d = delta(vec![
+            EditOp::SetAttr {
+                xid: Xid(1),
+                key: "a".into(),
+                old: Some("1".into()),
+                new: None,
+                old_ts: Timestamp::from_micros(100),
+            },
+            EditOp::SetAttr {
+                xid: Xid(1),
+                key: "b".into(),
+                old: None,
+                new: Some("3".into()),
+                old_ts: Timestamp::from_micros(200),
+            },
+        ]);
+        d.apply_forward(&mut t).unwrap();
+        assert_eq!(to_string(&t), r#"<e b="3" m="2"/>"#);
+        d.apply_backward(&mut t).unwrap();
+        assert_eq!(to_string(&t), r#"<e a="1" m="2"/>"#);
     }
 
     #[test]

@@ -435,6 +435,11 @@ impl FullTextIndex {
     /// Surviving postings are compacted, so the per-doc indices held by
     /// `open` lists and the open-posting map are remapped; open postings
     /// themselves are never removed (their range has no upper bound).
+    ///
+    /// Survivors that started below the horizon are clamped to start at
+    /// it, which is where a replay of the vacuumed chain starts them (it
+    /// indexes the first surviving version from scratch). The clamp is
+    /// monotone, so `from_version` stays non-decreasing.
     pub fn purge_below(&mut self, doc: DocId, horizon: u32) -> usize {
         let mut removed = 0usize;
         let open_map = &mut self.open;
@@ -442,6 +447,9 @@ impl FullTextIndex {
             let Some(g) = list.by_doc.get_mut(&doc) else { return true };
             let before = g.postings.len();
             g.postings.retain(|p| p.to_version == OPEN || p.to_version > horizon);
+            for p in &mut g.postings {
+                p.from_version = p.from_version.max(horizon);
+            }
             let dropped = before - g.postings.len();
             if dropped == 0 {
                 return true;

@@ -1,17 +1,42 @@
 //! Query execution: shared state, expression evaluation and statistics.
 //!
-//! Since the Volcano refactor the actual row flow lives in
-//! [`crate::operators`]: the plan is lowered to a pull-based operator tree
-//! (`open`/`next`/`close`) and both [`crate::QueryRequest::run`] and
-//! [`crate::QueryRequest::stream`] drive that tree. This module keeps what
-//! the operators share: the execution context with its lazy, cached
-//! reconstruction (a `COUNT(R)` query over an index scan finishes with
-//! zero reconstructions — exactly the paper's Q2 observation that "storage
-//! of only deltas of previous document versions does not create
-//! performance problems" for aggregate queries), the expression
-//! evaluator, [`ExecStats`], and the `EXPLAIN ANALYZE` [`ExplainNode`]
-//! tree — which since the refactor maps one-to-one onto the live operator
-//! tree, each node metered by its own operator.
+//! The row flow lives in [`crate::operators`]: the plan is lowered to a
+//! pull-based operator tree (`open`/`next`/`close`) and both
+//! [`crate::QueryRequest::run`] and [`crate::QueryRequest::stream`] drive
+//! that tree. This module keeps what the operators share: the execution
+//! context, the expression evaluator, [`ExecStats`], and the
+//! `EXPLAIN ANALYZE` [`ExplainNode`] tree, which maps one-to-one onto the
+//! live operator tree, each node metered by its own operator.
+//!
+//! ### Reconstruction: one walk per document
+//!
+//! Versions are materialised only when an expression reads them: a
+//! `COUNT(R)` query over an index scan finishes with zero reconstructions —
+//! the paper's Q2 observation that "storage of only deltas of previous
+//! document versions does not create performance problems" for aggregate
+//! queries. A document the query does read gets one working tree, a
+//! [`Walk`], and a request for version *v* of it is served by these rules:
+//!
+//! * the version the walk stands on, or one kept for this query: a hit;
+//! * a later version: the walk steps forward through the completed deltas
+//!   in between, in place (§7.3.4's one delta per version; the tree is
+//!   copied only while a row value still points at the old version);
+//! * the current version or a snapshot that is not the walk's next step:
+//!   read directly (zero deltas) and kept, without moving the walk, so
+//!   `CURRENT(R)` under `[EVERY]` stays linear;
+//! * anything else — the first request, an earlier version, a content
+//!   version with no delta into it (a resurrection after a full vacuum):
+//!   a *reseed*, one point reconstruction through the store (§7.3.3, seeded
+//!   from the version cache, a snapshot or the current version). A reseed
+//!   to an earlier version restarts the walk there, and from then on the
+//!   document keeps every version the walk steps past, so access out of
+//!   ascending order materialises each version about once.
+//!
+//! [`ExecStats::reseeds`] counts reseeds, so a query whose access order
+//! defeats the walk names itself in `EXPLAIN ANALYZE`. The version list of
+//! a document is fetched only once the walk exists and a request misses
+//! it, so `[t]` and current queries pay one point reconstruction per
+//! document, nothing more.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -19,7 +44,10 @@ use std::rc::Rc;
 
 use txdb_base::{DocId, Error, Result, Teid, Timestamp, VersionId, Xid};
 use txdb_core::ops::lifetime::LifetimeStrategy;
+use txdb_core::ops::versions::{neighbour, Neighbour};
 use txdb_core::Database;
+use txdb_delta::Walk;
+use txdb_storage::repo::{VersionEntry, VersionKind};
 use txdb_xml::equality::shallow_eq;
 use txdb_xml::similarity;
 use txdb_xml::tree::{NodeId, Tree};
@@ -31,10 +59,15 @@ use crate::result::{OutValue, QueryResult};
 /// Execution statistics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ExecStats {
-    /// Document versions reconstructed (loaded into the tree cache).
+    /// Document versions materialised for the query (walk steps, direct
+    /// reads and reseeds; hits on the walk or a kept version are free).
     pub reconstructions: usize,
     /// Completed deltas applied during those reconstructions.
     pub deltas_applied: usize,
+    /// Point reconstructions that started or restarted a document's walk:
+    /// one per document read, plus one per restart (a request behind the
+    /// walk, or past a version with no delta into it).
+    pub reseeds: usize,
     /// Rows produced by the source scans (before filtering).
     pub rows_scanned: usize,
     /// Rows in the final result.
@@ -134,21 +167,13 @@ pub(crate) struct Bound {
     pub(crate) version: VersionId,
 }
 
-/// A cached reconstructed document version.
-pub(crate) struct CachedDoc {
-    pub(crate) tree: Rc<Tree>,
-    pub(crate) xids: Rc<HashMap<Xid, NodeId>>,
-}
-
 /// Shared execution state: the database handle, the query's `NOW` anchor,
-/// the reconstructed-version cache and the run's [`ExecStats`]. One `Ctx`
-/// is shared (via `Rc`) by every operator of a lowered tree.
+/// one [`DocWalk`] per document read and the run's [`ExecStats`]. One
+/// `Ctx` is shared (via `Rc`) by every operator of a lowered tree.
 pub(crate) struct Ctx<'a> {
     pub(crate) db: &'a Database,
     pub(crate) now: Timestamp,
-    cache: RefCell<HashMap<(DocId, VersionId), Rc<CachedDoc>>>,
-    /// Cache misses per document: (count, lowest version requested).
-    doc_misses: RefCell<HashMap<DocId, (usize, VersionId)>>,
+    docs: RefCell<HashMap<DocId, DocWalk>>,
     pub(crate) stats: RefCell<ExecStats>,
 }
 
@@ -158,69 +183,170 @@ impl Ctx<'_> {
         Ctx {
             db,
             now,
-            cache: RefCell::new(HashMap::new()),
-            doc_misses: RefCell::new(HashMap::new()),
+            docs: RefCell::new(HashMap::new()),
             stats: RefCell::new(ExecStats::default()),
         }
     }
 
-    /// Reconstructed versions currently cached (buffered-memory metric).
+    /// Document versions the context holds: walk trees plus kept versions
+    /// (the buffered-memory metric).
     pub(crate) fn cached_trees(&self) -> usize {
-        self.cache.borrow().len()
+        self.docs.borrow().values().map(|d| d.kept.len() + usize::from(d.walk.is_some())).sum()
     }
 
-    /// Loads (and caches) one document version; bulk-loads the whole
-    /// history of a document once several versions of it are touched
-    /// (the incremental §7.3.4 strategy instead of repeated §7.3.3 runs).
-    pub(crate) fn tree(&self, doc: DocId, version: VersionId) -> Result<Rc<CachedDoc>> {
-        if let Some(c) = self.cache.borrow().get(&(doc, version)) {
-            return Ok(c.clone());
+    /// Version `version` of `doc`, served by the walk rules of the module
+    /// docs. A failed request drops the document's walk, whose tree may be
+    /// half-stepped.
+    pub(crate) fn tree(&self, doc: DocId, version: VersionId) -> Result<Rc<Tree>> {
+        let mut docs = self.docs.borrow_mut();
+        let d = docs.entry(doc).or_default();
+        let served = d.serve(self.db, doc, version, &mut self.stats.borrow_mut());
+        if served.is_err() {
+            d.walk = None;
         }
-        let (misses, lowest) = {
-            let mut m = self.doc_misses.borrow_mut();
-            let e = m.entry(doc).or_insert((0, version));
-            e.0 += 1;
-            e.1 = e.1.min(version);
-            *e
+        served
+    }
+
+    /// The node carrying `xid` in version `version` of `doc`, if the
+    /// element exists there. The walk's XID map answers for its own tree
+    /// and, checked, for trees it stepped past (arena ids survive a step).
+    pub(crate) fn node(
+        &self,
+        doc: DocId,
+        version: VersionId,
+        xid: Xid,
+    ) -> Result<Option<(Rc<Tree>, NodeId)>> {
+        let tree = self.tree(doc, version)?;
+        let docs = self.docs.borrow();
+        let walk = docs.get(&doc).and_then(|d| d.walk.as_ref()).map(|(_, w)| w);
+        let node = match walk {
+            Some(w) if Rc::ptr_eq(w.tree(), &tree) => w.node(xid),
+            _ => walk
+                .and_then(|w| w.node(xid))
+                .filter(|n| n.index() < tree.arena_len() && tree.node(*n).xid == xid)
+                .or_else(|| tree.find_xid(xid)),
         };
-        if misses >= 3 {
-            self.preload_history(doc, lowest)?;
-            if let Some(c) = self.cache.borrow().get(&(doc, version)) {
-                return Ok(c.clone());
-            }
-        }
-        let (tree, deltas) = self.db.store().version_tree_counted(doc, version)?;
-        let cached = Rc::new(CachedDoc { xids: Rc::new(tree.xid_map()), tree: Rc::new(tree) });
-        {
-            let mut s = self.stats.borrow_mut();
-            s.reconstructions += 1;
-            s.deltas_applied += deltas;
-        }
-        self.cache.borrow_mut().insert((doc, version), cached.clone());
-        Ok(cached)
+        Ok(node.map(|n| (tree, n)))
     }
 
-    /// Fills the cache with the content versions of `doc` from `from`
-    /// upwards by walking the delta chain backwards once (queries that
-    /// touch many versions of a document — EVERY sources — pay one
-    /// incremental §7.3.4 pass instead of repeated §7.3.3 runs, and a
-    /// version floor from the §8 interval rewriting bounds the walk).
-    pub(crate) fn preload_history(&self, doc: DocId, from: VersionId) -> Result<()> {
-        let entries = self.db.store().versions(doc)?;
-        let floor =
-            entries.get(from.0 as usize).map(|e| e.ts).unwrap_or(txdb_base::Timestamp::ZERO);
-        let history = self.db.doc_history(doc, txdb_base::Interval::from_onwards(floor))?;
-        let mut s = self.stats.borrow_mut();
-        for dv in history {
-            s.reconstructions += 1;
-            let key = (doc, dv.version);
-            if !self.cache.borrow().contains_key(&key) {
-                let cached =
-                    Rc::new(CachedDoc { xids: Rc::new(dv.tree.xid_map()), tree: Rc::new(dv.tree) });
-                self.cache.borrow_mut().insert(key, cached);
+    /// The version `which` names for `teid` (§7.3.7), with its timestamp,
+    /// looked up in the document's version list the walk already holds.
+    fn neighbour(&self, teid: Teid, which: Neighbour) -> Result<Option<(VersionId, Timestamp)>> {
+        let doc = teid.doc();
+        let mut docs = self.docs.borrow_mut();
+        let d = docs.entry(doc).or_default();
+        if d.entries.last().is_none_or(|e| e.ts < teid.ts) {
+            d.entries = self.db.store().versions(doc)?;
+        }
+        Ok(neighbour(&d.entries, teid, which)?.map(|e| (e.version, e.ts)))
+    }
+}
+
+/// One document's reconstruction state within a query.
+#[derive(Default)]
+struct DocWalk {
+    /// The working tree and the version it stands on.
+    walk: Option<(VersionId, Walk)>,
+    /// Versions read directly or kept from the walk, served as hits.
+    kept: HashMap<VersionId, Rc<Tree>>,
+    /// The document's version list; empty until a request misses the walk.
+    entries: Vec<VersionEntry>,
+    /// Set by the first restart: keep every version the walk steps past.
+    retain: bool,
+}
+
+impl DocWalk {
+    /// Version `v`, by the walk rules of the module docs.
+    fn serve(
+        &mut self,
+        db: &Database,
+        doc: DocId,
+        v: VersionId,
+        stats: &mut ExecStats,
+    ) -> Result<Rc<Tree>> {
+        let at = match &self.walk {
+            Some((at, walk)) if *at == v => return Ok(walk.tree().clone()),
+            Some((at, _)) => Some(*at),
+            None => None,
+        };
+        if let Some(tree) = self.kept.get(&v) {
+            return Ok(tree.clone());
+        }
+        stats.reconstructions += 1;
+        let Some(at) = at else { return self.reseed(db, doc, v, stats) };
+        let i = v.0 as usize;
+        if self.entries.len() <= i {
+            self.entries = db.store().versions(doc)?;
+        }
+        let Some(e) = self.entries.get(i) else { return Err(Error::NoSuchVersion(doc, v)) };
+        let between = self.entries.get(at.0 as usize + 1..i).unwrap_or_default();
+        let next_step = v > at && between.iter().all(|e| e.kind != VersionKind::Content);
+        let current = self.entries.iter().rev().find(|e| e.kind == VersionKind::Content);
+        if !next_step && (e.snapshot_rid.is_some() || current.is_some_and(|c| c.version == v)) {
+            let (tree, deltas) = db.store().version_tree_counted(doc, v)?;
+            stats.deltas_applied += deltas;
+            let tree = Rc::new(tree);
+            self.kept.insert(v, tree.clone());
+            return Ok(tree);
+        }
+        let steppable = v > at
+            && self.entries[at.0 as usize + 1..=i]
+                .iter()
+                .all(|e| e.kind == VersionKind::Tombstone || e.delta_rid.is_some());
+        if steppable {
+            return self.step(db, doc, v, stats);
+        }
+        self.retain |= v < at;
+        self.reseed(db, doc, v, stats)
+    }
+
+    /// Moves the walk forward to `v`.
+    fn step(
+        &mut self,
+        db: &Database,
+        doc: DocId,
+        v: VersionId,
+        stats: &mut ExecStats,
+    ) -> Result<Rc<Tree>> {
+        let DocWalk { walk, kept, entries, retain } = self;
+        let (at, w) = walk.as_mut().expect("a step starts from a walk");
+        for u in at.0 + 1..=v.0 {
+            if entries[u as usize].kind != VersionKind::Content {
+                continue; // a tombstone: no delta, no tree
+            }
+            let delta = db
+                .store()
+                .delta(doc, VersionId(u))?
+                .ok_or_else(|| Error::Corrupt(format!("doc {doc}: no delta into v{u}")))?;
+            if *retain {
+                kept.insert(*at, w.tree().clone());
+            }
+            w.forward(&delta)?;
+            *at = VersionId(u);
+            stats.deltas_applied += 1;
+        }
+        Ok(w.tree().clone())
+    }
+
+    /// Starts the walk over at `v` with one point reconstruction.
+    fn reseed(
+        &mut self,
+        db: &Database,
+        doc: DocId,
+        v: VersionId,
+        stats: &mut ExecStats,
+    ) -> Result<Rc<Tree>> {
+        let (tree, deltas) = db.store().version_tree_counted(doc, v)?;
+        stats.deltas_applied += deltas;
+        stats.reseeds += 1;
+        let walk = Walk::new(tree);
+        let tree = walk.tree().clone();
+        if let Some((at, old)) = self.walk.replace((v, walk)) {
+            if self.retain {
+                self.kept.insert(at, old.tree().clone());
             }
         }
-        Ok(())
+        Ok(tree)
     }
 }
 
@@ -267,10 +393,10 @@ pub(crate) fn eval(ctx: &Ctx<'_>, e: &Expr, row: &[Bound]) -> Result<Value> {
         Expr::Star => Ok(Value::Num(1.0)),
         Expr::Var(v) => {
             let b = find_bound(row, v)?;
-            let cached = ctx.tree(b.doc, b.version)?;
-            let node =
-                cached.xids.get(&b.teid.xid()).copied().ok_or(Error::NoSuchElement(b.teid.eid))?;
-            Ok(Value::Nodes(vec![NodeV { teid: Some(b.teid), tree: cached.tree.clone(), node }]))
+            let (tree, node) = ctx
+                .node(b.doc, b.version, b.teid.xid())?
+                .ok_or(Error::NoSuchElement(b.teid.eid))?;
+            Ok(Value::Nodes(vec![NodeV { teid: Some(b.teid), tree, node }]))
         }
         Expr::PathOf { base, path } => {
             let base_v = eval(ctx, base, row)?;
@@ -339,32 +465,28 @@ fn eval_func(ctx: &Ctx<'_>, name: Func, args: &[Expr], row: &[Bound]) -> Result<
             Ok(Value::Time(t))
         }
         Func::Current | Func::Previous | Func::Next => {
-            let v = eval(ctx, &args[0], row)?;
-            let Value::Nodes(nodes) = v else { return Ok(Value::Null) };
+            // The argument's value is dropped before the target version is
+            // fetched, so a walk step need not copy the tree it pointed at.
+            let Value::Nodes(nodes) = eval(ctx, &args[0], row)? else { return Ok(Value::Null) };
             let Some(teid) = nodes.first().and_then(|n| n.teid) else {
                 return Ok(Value::Null);
             };
-            let target_ts = match name {
-                Func::Current => ctx.db.current_ts(teid.eid)?,
-                Func::Previous => ctx.db.previous_ts(teid)?,
-                Func::Next => ctx.db.next_ts(teid)?,
-                _ => unreachable!(),
+            drop(nodes);
+            let which = match name {
+                Func::Previous => Neighbour::Previous,
+                Func::Next => Neighbour::Next,
+                _ => Neighbour::Current,
             };
-            let Some(target_ts) = target_ts else { return Ok(Value::Null) };
-            let target = teid.eid.at(target_ts);
-            match ctx.db.reconstruct(target) {
-                Ok(sub) => {
-                    ctx.stats.borrow_mut().reconstructions += 1;
-                    let tree = Rc::new(sub);
-                    let root = tree.root().ok_or_else(|| {
-                        Error::Corrupt("reconstructed subtree has no root".into())
-                    })?;
-                    Ok(Value::Nodes(vec![NodeV { teid: Some(target), tree, node: root }]))
+            let Some((version, ts)) = ctx.neighbour(teid, which)? else { return Ok(Value::Null) };
+            // The element's node inside the whole target version: paths
+            // only go downward, so it answers as §7.3.3's extracted
+            // subtree would. The element may not exist in that version.
+            Ok(match ctx.node(teid.doc(), version, teid.xid())? {
+                Some((tree, node)) => {
+                    Value::Nodes(vec![NodeV { teid: Some(teid.eid.at(ts)), tree, node }])
                 }
-                // The element may not exist in the target version.
-                Err(Error::NoSuchElement(_)) => Ok(Value::Null),
-                Err(e) => Err(e),
-            }
+                None => Value::Null,
+            })
         }
         Func::Diff => {
             let a = eval(ctx, &args[0], row)?;
@@ -866,17 +988,26 @@ mod tests {
 
     #[test]
     fn tree_scan_warm_cache_reported_in_stats() {
-        // The tree-scan fallback prefetches every (doc, version) it will
-        // touch into the materialized-version cache; a repeat of the same
-        // query is then answered from cache — zero deltas — and the hits
-        // show up in ExecStats.
+        // An [EVERY] tree scan seeds one walk per document with a point
+        // reconstruction — which offers the seed to the materialized-
+        // version cache — and steps forward one delta per version. A
+        // repeat of the query seeds from the cache (a hit, no backward
+        // deltas) and pays only the forward steps; the cache is not
+        // filled with the stepped versions.
         let db = figure1();
         let q = r#"SELECT R/name FROM doc("*")[EVERY]/guide/* R WHERE R/name != """#;
+        let inserts = || db.store().vcache_stats().snapshot().2;
+        let before = inserts();
         let cold = run(&db, q);
+        assert_eq!(inserts() - before, 1, "only the seed is cached");
         let warm = run(&db, q);
         assert_eq!(cold.to_xml(), warm.to_xml());
-        assert!(warm.stats.cache_hits > 0, "{:?}", warm.stats);
-        assert_eq!(warm.stats.deltas_applied, 0, "{:?}", warm.stats);
+        assert_eq!(cold.stats.reseeds, 1, "{:?}", cold.stats);
+        assert_eq!(cold.stats.deltas_applied, 4, "2 back to v0, 2 forward: {:?}", cold.stats);
+        assert_eq!(warm.stats.reseeds, 1, "{:?}", warm.stats);
+        assert!(warm.stats.cache_hits >= 1, "{:?}", warm.stats);
+        assert_eq!(warm.stats.deltas_applied, 2, "forward steps only: {:?}", warm.stats);
+        assert_eq!(warm.stats.reconstructions, 3, "{:?}", warm.stats);
     }
 
     #[test]
@@ -901,8 +1032,11 @@ mod tests {
         // Per-stage counters sum to the run totals.
         assert_eq!(tree.counter_total("reconstructions"), r.stats.reconstructions as u64);
         assert_eq!(tree.counter_total("deltas_applied"), r.stats.deltas_applied as u64);
+        assert_eq!(tree.counter_total("reseeds"), r.stats.reseeds as u64);
         assert_eq!(tree.counter_total("cache_hits"), r.stats.cache_hits as u64);
         assert_eq!(tree.counter_total("cache_misses"), r.stats.cache_misses as u64);
+        // Ascending access: one walk, seeded once.
+        assert_eq!(r.stats.reseeds, 1, "{:?}", r.stats);
         // Root is the projection and reports the output rows.
         assert!(tree.label.starts_with("project"), "{}", tree.label);
         assert_eq!(tree.rows, r.stats.rows_output);
@@ -922,6 +1056,26 @@ mod tests {
         // Without .explain() the tree is absent.
         let plain = run(&db, r#"SELECT COUNT(*) FROM doc("*")//restaurant R"#);
         assert!(plain.explain.is_none());
+        // PREVIOUS reads behind the walk: the restart is a second reseed,
+        // and the stage that asked for it — the projection — shows it.
+        let r = db
+            .query(
+                r#"SELECT PREVIOUS(R)/price
+                   FROM doc("guide.com/restaurants")[EVERY]//restaurant R
+                   WHERE R/name = "Napoli""#,
+            )
+            .at(feb(20))
+            .explain()
+            .run()
+            .unwrap();
+        let tree = r.explain.as_ref().unwrap();
+        assert_eq!(r.stats.reseeds, 2, "{:?}", r.stats);
+        assert_eq!(tree.counter_total("reseeds"), r.stats.reseeds as u64);
+        assert_eq!(tree.counter_total("reconstructions"), r.stats.reconstructions as u64);
+        assert_eq!(tree.counter_total("deltas_applied"), r.stats.deltas_applied as u64);
+        assert!(tree.label.starts_with("project"), "{}", tree.label);
+        assert_eq!(tree.counters.iter().find(|(n, _)| *n == "reseeds"), Some(&("reseeds", 1)));
+        assert!(tree.render().lines().next().unwrap().contains("reseeds=1"), "{}", tree.render());
     }
 
     #[test]
@@ -939,6 +1093,216 @@ mod tests {
         assert!(scan.label.starts_with("tree scan R: reconstruct @ "), "{}", scan.label);
         assert!(scan.counter_total("reconstructions") > 0, "{scan:?}");
         assert_eq!(tree.counter_total("reconstructions"), r.stats.reconstructions as u64);
+    }
+
+    // ------------------------------------------------- walk edge cases
+
+    /// Every version-reading function over every `item` of every version.
+    const WALK_Q: &str =
+        r#"SELECT TIME(R), R, PREVIOUS(R), NEXT(R), CURRENT(R) FROM doc("d")[EVERY]//item R"#;
+
+    fn sorted(mut rows: Vec<Vec<OutValue>>) -> Vec<Vec<OutValue>> {
+        rows.sort_by_key(|r| format!("{r:?}"));
+        rows
+    }
+
+    /// What [`WALK_Q`] answers when each version is rebuilt on its own and
+    /// `PREVIOUS`/`NEXT`/`CURRENT` go through `PreviousTS`/`NextTS`/
+    /// `CurrentTS` and a `Reconstruct` of the element's subtree.
+    fn point_reference(db: &Database) -> Vec<Vec<OutValue>> {
+        use txdb_xml::serialize::{subtree_to_string, to_string};
+        let doc = db.store().doc_id("d").unwrap().unwrap();
+        let mut rows = Vec::new();
+        for e in db.store().versions(doc).unwrap() {
+            if e.kind != VersionKind::Content {
+                continue;
+            }
+            let tree = db.store().version_tree(doc, e.version).unwrap();
+            for n in tree.iter().filter(|&n| tree.node(n).name() == Some("item")) {
+                let teid = txdb_base::Eid::new(doc, tree.node(n).xid).at(e.ts);
+                let near =
+                    |ts: Option<Timestamp>| match ts.map(|ts| db.reconstruct(teid.eid.at(ts))) {
+                        Some(Ok(sub)) => OutValue::Xml(to_string(&sub)),
+                        None | Some(Err(Error::NoSuchElement(_))) => OutValue::Null,
+                        Some(Err(e)) => panic!("reference reconstruct: {e}"),
+                    };
+                rows.push(vec![
+                    OutValue::Time(tree.effective_ts(n)),
+                    OutValue::Xml(subtree_to_string(&tree, n)),
+                    near(db.previous_ts(teid).unwrap()),
+                    near(db.next_ts(teid).unwrap()),
+                    near(db.current_ts(teid.eid).unwrap()),
+                ]);
+            }
+        }
+        sorted(rows)
+    }
+
+    /// Runs [`WALK_Q`], checks it against [`point_reference`] and returns
+    /// the run's statistics.
+    fn walk_matches_reference(db: &Database) -> ExecStats {
+        let r = run(db, WALK_Q);
+        assert_eq!(sorted(r.rows.clone()), point_reference(db));
+        r.stats
+    }
+
+    /// Two items whose prices move differently; item `b` is absent from
+    /// some versions.
+    fn item_doc(a: u32, b: Option<u32>) -> String {
+        let b = b.map(|p| format!("<item><n>b</n><p>{p}</p></item>")).unwrap_or_default();
+        format!("<d><item><n>a</n><p>{a}</p></item>{b}</d>")
+    }
+
+    #[test]
+    fn walk_steps_over_a_tombstone_gap_into_a_resurrection() {
+        let db = Database::in_memory();
+        db.put("d", &item_doc(1, Some(1)), jan(1)).unwrap();
+        db.put("d", &item_doc(2, Some(1)), jan(2)).unwrap();
+        db.delete("d", jan(3)).unwrap();
+        let r = db.put("d", &item_doc(3, None), jan(4)).unwrap();
+        assert!(r.resurrected && r.delta.is_some(), "diffed against the version before the gap");
+        db.put("d", &item_doc(4, Some(9)), jan(5)).unwrap();
+        walk_matches_reference(&db);
+        // Ascending access steps across the tombstone: one seed.
+        let r = run(&db, r#"SELECT R/p FROM doc("d")[EVERY]//item R WHERE R/n = "a""#);
+        assert_eq!(r.len(), 4);
+        assert_eq!(r.stats.reseeds, 1, "{:?}", r.stats);
+        assert_eq!(r.stats.reconstructions, 4, "{:?}", r.stats);
+    }
+
+    #[test]
+    fn walk_reseeds_at_a_resurrection_after_a_full_vacuum() {
+        let db = Database::in_memory();
+        db.put("d", &item_doc(1, Some(1)), jan(1)).unwrap();
+        db.put("d", &item_doc(2, Some(1)), jan(2)).unwrap();
+        db.delete("d", jan(3)).unwrap();
+        assert_eq!(db.vacuum("d", jan(10)).unwrap().unwrap().purged_versions, 2);
+        let r = db.put("d", &item_doc(3, None), jan(11)).unwrap();
+        assert!(r.delta.is_none(), "nothing left to diff against");
+        db.put("d", &item_doc(4, Some(9)), jan(12)).unwrap();
+        db.put("d", &item_doc(5, Some(9)), jan(13)).unwrap();
+        walk_matches_reference(&db);
+        let r = run(&db, r#"SELECT R/p FROM doc("d")[EVERY]//item R WHERE R/n = "a""#);
+        assert_eq!(
+            r.to_xml(),
+            "<results><result><p>3</p></result><result><p>4</p></result>\
+             <result><p>5</p></result></results>"
+        );
+        assert_eq!(r.stats.reseeds, 1, "{:?}", r.stats);
+    }
+
+    #[test]
+    fn walk_with_snapshots_every_third_version() {
+        let db = txdb_core::DbOptions::new().snapshot_every(3).open().unwrap();
+        for i in 0..10u32 {
+            db.put("d", &item_doc(i, (i % 4 != 1).then_some(100 - i)), jan(i + 1)).unwrap();
+        }
+        walk_matches_reference(&db);
+        let r = run(&db, r#"SELECT R/p FROM doc("d")[EVERY]//item R WHERE R/n = "a""#);
+        assert_eq!(r.len(), 10);
+        // Snapshot versions on the way are stepped through, not re-read.
+        assert_eq!((r.stats.reseeds, r.stats.reconstructions), (1, 10), "{:?}", r.stats);
+        assert!(r.stats.deltas_applied <= 2 * 10, "{:?}", r.stats);
+    }
+
+    #[test]
+    fn walk_after_a_vacuumed_prefix() {
+        let db = Database::in_memory();
+        for i in 0..6u32 {
+            db.put("d", &item_doc(i, Some(i / 2)), jan(i + 1)).unwrap();
+        }
+        assert_eq!(db.vacuum("d", jan(4)).unwrap().unwrap().purged_versions, 2);
+        walk_matches_reference(&db);
+        let r = run(
+            &db,
+            r#"SELECT PREVIOUS(R)/p FROM doc("d")[EVERY]//item R WHERE R/n = "a" LIMIT 1"#,
+        );
+        assert_eq!(r.rows, vec![vec![OutValue::Null]], "nothing before the first live version");
+    }
+
+    #[test]
+    fn walk_previous_and_next_at_the_ends() {
+        let db = Database::in_memory();
+        for i in 0..4u32 {
+            db.put("d", &item_doc(i, None), jan(i + 1)).unwrap();
+        }
+        walk_matches_reference(&db);
+        let r = run(&db, r#"SELECT PREVIOUS(R)/p, NEXT(R)/p FROM doc("d")[EVERY]//item R"#);
+        let xml = |p: u32| OutValue::Xml(format!("<p>{p}</p>"));
+        assert_eq!(
+            r.rows,
+            vec![
+                vec![OutValue::Null, xml(1)],
+                vec![xml(0), xml(2)],
+                vec![xml(1), xml(3)],
+                vec![xml(2), OutValue::Null],
+            ]
+        );
+        // No per-row point reconstruction: one restart when PREVIOUS first
+        // reads behind the walk, then every version is kept as it passes.
+        assert_eq!(r.stats.reseeds, 2, "{:?}", r.stats);
+        assert!(r.stats.reconstructions <= 4 + r.stats.reseeds, "{:?}", r.stats);
+    }
+
+    #[test]
+    fn walk_current_under_every_is_read_once() {
+        let db = Database::in_memory();
+        for i in 0..20u32 {
+            db.put("d", &item_doc(i, Some(7)), jan(i + 1)).unwrap();
+        }
+        walk_matches_reference(&db);
+        let r = run(&db, r#"SELECT CURRENT(R)/p FROM doc("d")[EVERY]//item R WHERE R/n = "a""#);
+        assert_eq!(r.len(), 20);
+        assert!(r.rows.iter().all(|row| row[0] == OutValue::Xml("<p>19</p>".into())));
+        // The current version is read directly and kept; the walk never
+        // moves to it and back.
+        assert_eq!((r.stats.reseeds, r.stats.reconstructions), (1, 20), "{:?}", r.stats);
+    }
+
+    #[test]
+    fn walk_join_of_two_every_sources_over_one_document() {
+        let db = Database::in_memory();
+        let versions = 6u32;
+        for i in 0..versions {
+            db.put("d", &item_doc(i, (i != 2).then_some(10 + i % 3)), jan(i + 1)).unwrap();
+        }
+        walk_matches_reference(&db);
+        let r = run(
+            &db,
+            r#"SELECT R1/p, R2/p FROM doc("d")[EVERY]//item R1, doc("d")[EVERY]//item R2
+               WHERE R1/n = R2/n"#,
+        );
+        // Reference: every pair of versions, rebuilt one at a time.
+        let doc = db.store().doc_id("d").unwrap().unwrap();
+        let items: Vec<Vec<(String, String)>> = (0..versions)
+            .map(|v| {
+                let t = db.store().version_tree(doc, VersionId(v)).unwrap();
+                let text = |n: NodeId, tag: &str| {
+                    let c = t.node(n).children().iter().find(|&&c| t.node(c).name() == Some(tag));
+                    c.map(|&c| txdb_xml::serialize::subtree_to_string(&t, c)).unwrap()
+                };
+                t.iter()
+                    .filter(|&n| t.node(n).name() == Some("item"))
+                    .map(|n| (text(n, "n"), text(n, "p")))
+                    .collect()
+            })
+            .collect();
+        let mut want = Vec::new();
+        for outer in &items {
+            for inner in &items {
+                for (n1, p1) in outer {
+                    for (_, p2) in inner.iter().filter(|(n2, _)| n2 == n1) {
+                        want.push(vec![OutValue::Xml(p1.clone()), OutValue::Xml(p2.clone())]);
+                    }
+                }
+            }
+        }
+        assert_eq!(sorted(r.rows.clone()), sorted(want));
+        assert!(
+            r.stats.reconstructions <= versions as usize + r.stats.reseeds,
+            "each version about once: {:?}",
+            r.stats
+        );
     }
 
     #[test]

@@ -8,9 +8,11 @@
 //! [`MatchCursor`] postings cursors of the FTI, so a `LIMIT 1` query
 //! stops after the first posting chains through, and peak memory is
 //! bounded by the operator buffers (inner join sides, the active
-//! document's candidates, the reconstruction cache) rather than by the
-//! result size. Each operator meters itself — wall time, rows, §6 cost
-//! counters — and [`Operator::explain_node`] reads the `EXPLAIN ANALYZE`
+//! document's candidates) and the context's per-document walks (one
+//! working tree each, plus the versions a non-ascending access keeps)
+//! rather than by the result size. Each operator meters itself — wall
+//! time, rows, §6 cost counters, its inputs included — and
+//! [`Operator::explain_node`] reads the `EXPLAIN ANALYZE`
 //! tree straight off the live operators, so the explain tree maps
 //! one-to-one onto what actually ran.
 
@@ -81,6 +83,7 @@ struct Meter {
     rows: usize,
     recon: u64,
     deltas: u64,
+    reseeds: u64,
     hits: u64,
     misses: u64,
 }
@@ -94,7 +97,16 @@ struct MeterWindow {
 
 impl Meter {
     fn new(enabled: bool) -> Meter {
-        Meter { enabled, elapsed: Duration::ZERO, rows: 0, recon: 0, deltas: 0, hits: 0, misses: 0 }
+        Meter {
+            enabled,
+            elapsed: Duration::ZERO,
+            rows: 0,
+            recon: 0,
+            deltas: 0,
+            reseeds: 0,
+            hits: 0,
+            misses: 0,
+        }
     }
 
     /// Opens a metering window (no-op without `EXPLAIN ANALYZE`).
@@ -114,6 +126,7 @@ impl Meter {
         let s1 = *ctx.stats.borrow();
         self.recon += (s1.reconstructions - w.stats0.reconstructions) as u64;
         self.deltas += (s1.deltas_applied - w.stats0.deltas_applied) as u64;
+        self.reseeds += (s1.reseeds - w.stats0.reseeds) as u64;
         let (h1, m1, _, _, _) = ctx.db.store().vcache_stats().snapshot();
         self.hits += h1.saturating_sub(w.vc0.0);
         self.misses += m1.saturating_sub(w.vc0.1);
@@ -128,6 +141,7 @@ impl Meter {
             counters: vec![
                 ("reconstructions", self.recon),
                 ("deltas_applied", self.deltas),
+                ("reseeds", self.reseeds),
                 ("cache_hits", self.hits),
                 ("cache_misses", self.misses),
             ],
@@ -260,9 +274,6 @@ struct TreeScanOp<'db> {
     docs: Option<DocId>,
     mode: ScanMode,
     path: Path,
-    /// Warm the materialized-version cache for multi-version scans. Off
-    /// under `LIMIT`, where eager reconstruction would defeat early exit.
-    prefetch: bool,
     label: String,
     targets: Vec<(DocId, VersionId, Timestamp)>,
     t_idx: usize,
@@ -300,11 +311,6 @@ impl Operator for TreeScanOp<'_> {
                 ),
             }
         }
-        if self.prefetch && self.targets.len() > 1 {
-            let pairs: Vec<(DocId, VersionId)> =
-                self.targets.iter().map(|&(d, v, _)| (d, v)).collect();
-            self.ctx.db.prefetch_versions(&pairs);
-        }
         self.meter.end(w, &self.ctx, 0);
         Ok(())
     }
@@ -321,9 +327,9 @@ impl Operator for TreeScanOp<'_> {
                 return Ok(None);
             };
             self.t_idx += 1;
-            let cached = self.ctx.tree(doc, v)?;
-            for n in self.path.eval_roots(&cached.tree) {
-                let xid = cached.tree.node(n).xid;
+            let tree = self.ctx.tree(doc, v)?;
+            for n in self.path.eval_roots(&tree) {
+                let xid = tree.node(n).xid;
                 self.pending.push_back(Bound {
                     var: self.var.clone(),
                     teid: txdb_base::Eid::new(doc, xid).at(ts),
@@ -462,9 +468,8 @@ impl Operator for FilterOp<'_> {
 
     fn next(&mut self) -> Result<Option<Row>> {
         loop {
-            let row = self.input.next()?;
             let w = self.meter.begin(&self.ctx);
-            let Some(row) = row else {
+            let Some(row) = self.input.next()? else {
                 self.meter.end(w, &self.ctx, 0);
                 return Ok(None);
             };
@@ -510,9 +515,8 @@ impl Operator for ProjectOp<'_> {
 
     fn next(&mut self) -> Result<Option<Row>> {
         loop {
-            let row = self.input.next()?;
             let w = self.meter.begin(&self.ctx);
-            let Some(mut row) = row else {
+            let Some(mut row) = self.input.next()? else {
                 self.meter.end(w, &self.ctx, 0);
                 return Ok(None);
             };
@@ -600,9 +604,8 @@ impl Operator for AggregateOp<'_> {
             return Ok(None);
         }
         loop {
-            let row = self.input.next()?;
             let w = self.meter.begin(&self.ctx);
-            let Some(row) = row else {
+            let Some(row) = self.input.next()? else {
                 self.done = true;
                 let values = self
                     .accs
@@ -676,8 +679,8 @@ impl Operator for LimitOp<'_> {
         if self.emitted >= self.n {
             return Ok(None);
         }
-        let row = self.input.next()?;
         let w = self.meter.begin(&self.ctx);
+        let row = self.input.next()?;
         let emitted = usize::from(row.is_some());
         self.emitted += emitted;
         self.meter.end(w, &self.ctx, emitted);
@@ -700,12 +703,7 @@ impl Operator for LimitOp<'_> {
 }
 
 /// Lowers one `FROM` source to its scan leaf.
-fn lower_scan<'db>(
-    ctx: &Rc<Ctx<'db>>,
-    s: &SourcePlan,
-    prefetch: bool,
-    explain: bool,
-) -> Box<dyn Operator + 'db> {
+fn lower_scan<'db>(ctx: &Rc<Ctx<'db>>, s: &SourcePlan, explain: bool) -> Box<dyn Operator + 'db> {
     let docs = match s.docs {
         DocSel::Missing => {
             return Box::new(EmptyScanOp {
@@ -743,7 +741,6 @@ fn lower_scan<'db>(
             docs,
             mode: s.mode,
             path: path.clone(),
-            prefetch,
             label: format!("tree scan {}: reconstruct{}", s.var, mode_label(&s.mode)),
             targets: Vec::new(),
             t_idx: 0,
@@ -756,11 +753,8 @@ fn lower_scan<'db>(
 /// Lowers a plan to its operator tree:
 /// `scans → join → [filter] → project|aggregate → [limit]`.
 fn lower<'db>(ctx: &Rc<Ctx<'db>>, plan: &Plan, explain: bool) -> Box<dyn Operator + 'db> {
-    // Under LIMIT the tree scan must not eagerly reconstruct versions the
-    // query will never pull.
-    let prefetch = plan.limit.is_none();
     let sources: Vec<Box<dyn Operator + 'db>> =
-        plan.sources.iter().map(|s| lower_scan(ctx, s, prefetch, explain)).collect();
+        plan.sources.iter().map(|s| lower_scan(ctx, s, explain)).collect();
     let mut root: Box<dyn Operator + 'db> = Box::new(JoinOp {
         ctx: ctx.clone(),
         sources,

@@ -31,7 +31,7 @@ use std::sync::Arc;
 use parking_lot::{Mutex, RwLock};
 use txdb_base::obs::{Counter, EventValue, JsonLinesSink, Registry};
 use txdb_base::{DocId, Error, Interval, Result, Timestamp, VersionId, Xid};
-use txdb_delta::{delta_from_xml, delta_to_xml, diff_trees, Delta};
+use txdb_delta::{delta_from_xml, delta_to_xml, diff_trees, Delta, Walk};
 use txdb_xml::codec::{decode_tree, encode_tree, write_varint};
 use txdb_xml::parse::{parse_with, ParseOptions};
 use txdb_xml::tree::Tree;
@@ -943,11 +943,16 @@ impl DocumentStore {
         ts: Timestamp,
         found: Option<FoundMeta>,
     ) -> Result<PutResult> {
+        // Versions keep their attributes in name order, the order delta
+        // application inserts them in (see `txdb_delta::ops`).
+        let ids: Vec<_> = tree.iter().collect();
+        for &id in &ids {
+            tree.sort_attrs(id);
+        }
         match found {
             None => {
                 // Fresh document: assign XIDs in document order.
                 let mut next = Xid::FIRST;
-                let ids: Vec<_> = tree.iter().collect();
                 for id in ids {
                     tree.node_mut(id).xid = next;
                     next = next.next();
@@ -1001,7 +1006,6 @@ impl DocumentStore {
                     // complete, like a fresh base (XIDs keep drawing from
                     // the document's counter; they are never reused).
                     let mut next = meta.next_xid;
-                    let ids: Vec<_> = tree.iter().collect();
                     for id in ids {
                         tree.node_mut(id).xid = next;
                         next = next.next();
@@ -1482,19 +1486,21 @@ impl DocumentStore {
                 break;
             }
         }
-        let mut tree = match tree {
+        let tree = match tree {
             Some(t) => t,
             None => self.current_tree_of(meta)?,
         };
-        // Apply deltas backwards from `start` down to `v`.
+        // Apply deltas backwards from `start` down to `v`, on one walk (one
+        // XID map for the whole chain).
+        let mut walk = Walk::new(tree);
         let mut applied = 0usize;
         for u in ((v.0 + 1)..=start.0).rev() {
             let entry = &meta.entries[u as usize];
             let Some(rid) = entry.delta_rid else { continue }; // tombstone
-            let delta = self.load_delta(rid)?;
-            delta.apply_backward(&mut tree)?;
+            walk.backward(&self.load_delta(rid)?)?;
             applied += 1;
         }
+        let tree = walk.into_tree();
         if use_cache && applied > 0 {
             self.vcache.insert(doc, v, Arc::new(tree.clone()));
         }

@@ -337,6 +337,13 @@ impl Tree {
         }
     }
 
+    /// Puts an element's attributes in name order (a no-op on text nodes).
+    pub fn sort_attrs(&mut self, id: NodeId) {
+        if let NodeKind::Element { attrs, .. } = &mut self.nodes[id.index()].kind {
+            attrs.sort_by(|a, b| a.0.cmp(&b.0));
+        }
+    }
+
     /// Removes an attribute; returns the old value if present.
     pub fn remove_attr(&mut self, id: NodeId, key: &str) -> Option<String> {
         match &mut self.nodes[id.index()].kind {

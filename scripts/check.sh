@@ -321,6 +321,22 @@ put_path_counters() {
 }
 run_phase "put-path counters (experiments e10)" put_path_counters
 
+# Read-path work: one [EVERY] query over E9's 129-version document on a
+# cold version cache. The executor walks the history forward once, so the
+# version cache takes at most the walk's seed and the query applies at
+# most two deltas per version (the seed's backward chain, then one forward
+# step each). Per-version point reconstruction, or caching every version
+# the scan touches, fails here (131 inserts when the executor did that).
+read_path_counters() {
+    local out line
+    out=$(cargo run -q --offline -p txdb-bench --bin experiments -- e9)
+    line=$(grep '^ *every-cold' <<< "$out")
+    echo "  query versions rows recon deltas vcache.ins reseeds us"
+    echo "  $line"
+    awk '{ exit !($6 <= 1 && $5 <= 2 * $2) }' <<< "$line"
+}
+run_phase "read-path counters (experiments e9)" read_path_counters
+
 echo "== OK =="
 for i in "${!PHASES[@]}"; do
     printf '  %-38s %ss\n' "${PHASES[$i]}" "${TIMES[$i]}"

@@ -132,6 +132,34 @@ fn open_stream_fences_vacuum_until_dropped() {
     assert_eq!(db.store().snapshots().active(), 0, "drop releases the pin");
 }
 
+/// An `[EVERY]` stream walks one working tree forward per document; a put
+/// and a vacuum landing between two pulls must not disturb the walk. The
+/// stream's pin sits at the start of history, so the vacuum purges
+/// nothing it can still reach, and the rows match a run of the same query
+/// before either write.
+#[test]
+fn every_stream_walks_on_across_a_put_and_a_vacuum() {
+    let db = Database::in_memory();
+    for i in 0..6u64 {
+        db.put("d", &format!("<log><n>{i}</n><m>{}</m></log>", i / 2), ts(i)).unwrap();
+    }
+    let query = r#"SELECT TIME(R), R/n, PREVIOUS(R)/n FROM doc("d")[EVERY]//log R"#;
+    let want = db.query(query).at(ts(5)).run().unwrap().rows;
+    let mut stream = db.query(query).at(ts(5)).stream().unwrap();
+    let mut got: Vec<_> = stream.by_ref().take(2).map(|r| r.unwrap()).collect();
+    db.put("d", "<log><n>6</n><m>9</m></log>", ts(6)).unwrap();
+    let stats = db.vacuum("d", Timestamp::FOREVER).unwrap().unwrap();
+    assert_eq!(stats.purged_versions, 0, "the stream's pin fences the whole history");
+    got.extend(stream.by_ref().map(|r| r.unwrap()));
+    assert_eq!(got, want);
+    assert_eq!(
+        stream.stats().reseeds,
+        2,
+        "one seed, one restart for PREVIOUS: {:?}",
+        stream.stats()
+    );
+}
+
 /// Stress: one writer, one vacuum loop and four pinned readers race on a
 /// single hot document. Readers pin a timestamp and reconstruct; a
 /// reconstruction may lose the pin-vs-purge race (the vacuum clamped
