@@ -15,9 +15,8 @@ use txdb_base::{Eid, Interval, Timestamp, VersionId};
 use txdb_bench::*;
 use txdb_core::ops::lifetime::LifetimeStrategy;
 use txdb_core::{Database, DbOptions};
-use txdb_index::deltaindex::ChangeOp;
+use txdb_index::deltaindex::{ChangeOp, DeltaContentIndex};
 use txdb_index::fti::OccKind;
-use txdb_index::maint::FtiMode;
 use txdb_query::QueryExt;
 use txdb_wgen::restaurant::{figure1_versions, GUIDE_URL};
 use txdb_wgen::tdocgen::{DocGen, DocGenConfig};
@@ -293,7 +292,7 @@ fn e5() {
         .map(|n| (cur.node(n).xid, Timestamp::ZERO))
         .collect();
     items.sort();
-    let idx = db.indexes().eid_index().unwrap();
+    let idx = db.indexes().eid_index();
     for (label, pick) in
         [("oldest", 0usize), ("median", items.len() / 2), ("newest", items.len() - 1)]
     {
@@ -348,7 +347,9 @@ fn e6() {
     }
 }
 
-/// E7 — the §7.2 indexing-alternatives ablation.
+/// E7 — the §7.2 indexing-alternatives ablation. "versions" is the FTI
+/// every put maintains; "deltas" is the delta-content index, built on
+/// demand from the stored chain; "both" pays for the two.
 fn e7() {
     println!("\n== E7: FTI alternatives ablation (§7.2): versions / deltas / both ==");
     header(
@@ -363,51 +364,43 @@ fn e7() {
     };
     let snap_pattern =
         PatternTree::new(PatternNode::tag("text").word(DocGen::word_at_rank(3)).project());
-    for (label, mode) in
-        [("versions", FtiMode::Versions), ("deltas", FtiMode::Deltas), ("both", FtiMode::Both)]
-    {
-        let build_start = std::time::Instant::now();
-        let twin = build_tdocs(&params, mode);
-        let build_ms = build_start.elapsed().as_secs_f64() * 1e3;
-        let mid = twin.times[twin.times.len() / 2];
-        let idx_bytes = twin.temporal.indexes().fti().approx_bytes()
-            + twin.temporal.indexes().delta_index().approx_bytes();
-        // Snapshot query: only meaningful with version-content postings.
-        let snap_us = if matches!(mode, FtiMode::Versions | FtiMode::Both) {
-            fmt1(time_us(20, || {
-                std::hint::black_box(
-                    twin.temporal.tpattern_scan(None, &snap_pattern, mid).unwrap(),
-                );
-            }))
-        } else {
-            "n/a".to_string()
-        };
-        // Change query: "when was word X deleted" — delta index when
-        // available, otherwise a full FTI_lookup_H post-filtered by range
-        // ends (the expensive way).
-        let word = DocGen::word_at_rank(3);
-        let change_us = if matches!(mode, FtiMode::Deltas | FtiMode::Both) {
-            fmt1(time_us(20, || {
-                std::hint::black_box(
-                    twin.temporal.indexes().delta_index().find(&word, Some(ChangeOp::Update)),
-                );
-            }))
-        } else {
-            fmt1(time_us(20, || {
-                let fti = twin.temporal.indexes().fti();
-                let hits: usize =
-                    fti.lookup_h(&word, OccKind::Word).iter().filter(|p| !p.is_open()).count();
-                std::hint::black_box(hits);
-            }))
-        };
-        row(&[
-            label.to_string(),
-            format!("{build_ms:.0}"),
-            kib(idx_bytes as u64),
-            snap_us,
-            change_us,
-        ]);
+    let word = DocGen::word_at_rank(3);
+
+    let load_start = std::time::Instant::now();
+    let twin = build_tdocs(&params);
+    let load_ms = load_start.elapsed().as_secs_f64() * 1e3;
+    let db = &twin.temporal;
+    let mid = twin.times[twin.times.len() / 2];
+    let fti_bytes = db.indexes().fti().approx_bytes();
+    let snap_us = time_us(20, || {
+        std::hint::black_box(db.tpattern_scan(None, &snap_pattern, mid).unwrap());
+    });
+    // Change query "when was word X changed" without a delta index: a full
+    // FTI_lookup_H post-filtered by range ends (the expensive way).
+    let scan_us = time_us(20, || {
+        let fti = db.indexes().fti();
+        let hits: usize =
+            fti.lookup_h(&word, OccKind::Word).iter().filter(|p| !p.is_open()).count();
+        std::hint::black_box(hits);
+    });
+
+    let build_start = std::time::Instant::now();
+    let deltas = DeltaContentIndex::build(db.store()).expect("build the delta-content index");
+    let build_ms = build_start.elapsed().as_secs_f64() * 1e3;
+    let delta_bytes = deltas.approx_bytes();
+    let change_us = time_us(20, || {
+        std::hint::black_box(deltas.find(&word, Some(ChangeOp::Update)));
+    });
+
+    for (label, ms, bytes, snap, change) in [
+        ("versions", load_ms, fti_bytes, fmt1(snap_us), fmt1(scan_us)),
+        ("deltas", build_ms, delta_bytes, "n/a".to_string(), fmt1(change_us)),
+        ("both", load_ms + build_ms, fti_bytes + delta_bytes, fmt1(snap_us), fmt1(change_us)),
+    ] {
+        row(&[label.to_string(), format!("{ms:.0}"), kib(bytes as u64), snap, change]);
     }
+    println!("  (versions build = loading the stream, FTI maintained by every put;");
+    println!("   deltas build = DeltaContentIndex::build over the stored chain afterwards)");
     println!("  (change-q without a delta index approximates via closed-posting scan)");
 }
 
@@ -421,13 +414,13 @@ fn e8() {
     for changes in [1usize, 5, 15, 40] {
         let cfg = DocGenConfig { items: 50, changes_per_version: changes, ..Default::default() };
         let p = TdocParams { docs: 5, versions: 64, cfg: cfg.clone(), ..Default::default() };
-        let twin = build_tdocs(&p, FtiMode::Versions);
+        let twin = build_tdocs(&p);
         let complete = twin.stratum.space_bytes() as u64;
         let s = twin.temporal.store().space_stats().unwrap();
         let deltas = s.delta_bytes + s.current_bytes;
         // With snapshots every 8 versions.
         let p_snap = TdocParams { snapshot_every: Some(8), ..p };
-        let twin_snap = build_tdocs(&p_snap, FtiMode::Versions);
+        let twin_snap = build_tdocs(&p_snap);
         let s2 = twin_snap.temporal.store().space_stats().unwrap();
         let with_snap = s2.delta_bytes + s2.current_bytes + s2.snapshot_bytes;
         row(&[

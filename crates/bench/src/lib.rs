@@ -10,7 +10,6 @@ use std::time::Instant;
 
 use txdb_base::Timestamp;
 use txdb_core::{Database, DbOptions};
-use txdb_index::maint::{FtiMode, IndexConfig};
 use txdb_stratum::StratumDb;
 use txdb_wgen::restaurant::RestaurantGuide;
 use txdb_wgen::tdocgen::{DocGen, DocGenConfig};
@@ -66,25 +65,19 @@ pub fn step_ts(n: u64) -> Timestamp {
     t0() + txdb_base::Duration::from_hours(n)
 }
 
-/// Builds the twin databases over the restaurant workload.
-pub fn build_guides(p: GuideParams) -> TwinDb {
-    build_guides_with_mode(p, FtiMode::Versions)
-}
-
 /// The [`DbOptions`] every twin builder opens the temporal side with.
-fn twin_options(snapshot_every: Option<u32>, mode: FtiMode) -> DbOptions {
-    let mut opts =
-        DbOptions::new().index_config(IndexConfig { fti_mode: mode, ..IndexConfig::default() });
+fn twin_options(snapshot_every: Option<u32>) -> DbOptions {
+    let mut opts = DbOptions::new();
     if let Some(k) = snapshot_every {
         opts = opts.snapshot_every(k);
     }
     opts
 }
 
-/// Builds the twin databases with an explicit FTI mode (E7 ablation).
+/// Builds the twin databases over the restaurant workload.
 #[allow(clippy::explicit_counter_loop)]
-pub fn build_guides_with_mode(p: GuideParams, mode: FtiMode) -> TwinDb {
-    let temporal = twin_options(p.snapshot_every, mode).open().expect("open");
+pub fn build_guides(p: GuideParams) -> TwinDb {
+    let temporal = twin_options(p.snapshot_every).open().expect("open");
     let mut stratum = StratumDb::new();
     let mut gens: Vec<RestaurantGuide> =
         (0..p.docs).map(|i| RestaurantGuide::new(p.restaurants, p.seed + i as u64)).collect();
@@ -133,8 +126,8 @@ impl Default for TdocParams {
 
 /// Builds the twin databases over the TDocGen workload.
 #[allow(clippy::explicit_counter_loop)]
-pub fn build_tdocs(p: &TdocParams, mode: FtiMode) -> TwinDb {
-    let temporal = twin_options(p.snapshot_every, mode).open().expect("open");
+pub fn build_tdocs(p: &TdocParams) -> TwinDb {
+    let temporal = twin_options(p.snapshot_every).open().expect("open");
     let mut stratum = StratumDb::new();
     let mut gens: Vec<DocGen> =
         (0..p.docs).map(|i| DocGen::new(p.cfg.clone(), p.seed + i as u64)).collect();
@@ -220,15 +213,12 @@ mod tests {
 
     #[test]
     fn tdoc_builder_works() {
-        let twin = build_tdocs(
-            &TdocParams {
-                docs: 2,
-                versions: 3,
-                cfg: DocGenConfig { items: 5, ..Default::default() },
-                ..Default::default()
-            },
-            FtiMode::Versions,
-        );
+        let twin = build_tdocs(&TdocParams {
+            docs: 2,
+            versions: 3,
+            cfg: DocGenConfig { items: 5, ..Default::default() },
+            ..Default::default()
+        });
         assert_eq!(twin.temporal.store().list().unwrap().len(), 2);
     }
 

@@ -378,9 +378,7 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<()> {
                 Ok(None) => writeln!(out, "index checkpoint: none")?,
                 Err(e) => writeln!(out, "index checkpoint: unreadable ({e})")?,
             }
-            if let Some(eidx) = db.indexes().eid_index() {
-                writeln!(out, "eid index:        {} elements", eidx.len()?)?;
-            }
+            writeln!(out, "eid index:        {} elements", db.indexes().eid_index().len()?)?;
             let (hits, misses, _, evictions, invalidations) = db.store().vcache_stats().snapshot();
             writeln!(out, "vcache entries:   {}", db.store().vcache().len())?;
             writeln!(out, "vcache resident:  {} bytes", db.store().vcache().resident_bytes())?;

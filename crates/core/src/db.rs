@@ -17,7 +17,7 @@
 use std::collections::HashMap;
 
 use txdb_base::{DocId, Error, Result, Timestamp, VersionId};
-use txdb_index::maint::{IndexConfig, IndexSet};
+use txdb_index::maint::IndexSet;
 use txdb_index::persist::{self, DocCover};
 use txdb_storage::repo::{
     DeleteResult, DocumentStore, IndexCheckpointReport, IndexCheckpointState, PutResult,
@@ -34,14 +34,14 @@ use txdb_xml::tree::Tree;
 /// db.put("d", "<a>hi</a>", txdb_base::Timestamp::from_secs(1)).unwrap();
 /// ```
 ///
-/// The `store`/`index` fields stay public for callers that need the full
-/// [`StoreOptions`] surface (e.g. a fault-injecting VFS).
+/// The `store` field stays public for callers that need the full
+/// [`StoreOptions`] surface (e.g. a fault-injecting VFS). The indexes
+/// take no options: every database maintains the temporal FTI and the
+/// EID-time index.
 #[derive(Clone, Debug, Default)]
 pub struct DbOptions {
     /// Storage options (path, buffer size, snapshot policy, WAL, cache).
     pub store: StoreOptions,
-    /// Index options (§7.2 alternative, EID index).
-    pub index: IndexConfig,
 }
 
 impl DbOptions {
@@ -84,12 +84,6 @@ impl DbOptions {
     /// Fsync the WAL on every append.
     pub fn wal_sync(mut self, on: bool) -> DbOptions {
         self.store.wal_sync = on;
-        self
-    }
-
-    /// Index configuration (§7.2 alternative, EID index).
-    pub fn index_config(mut self, cfg: IndexConfig) -> DbOptions {
-        self.index = cfg;
         self
     }
 
@@ -150,8 +144,7 @@ impl Database {
     /// [`Database::recovery_report`].
     pub fn open(opts: DbOptions) -> Result<Database> {
         let (store, mut report) = DocumentStore::open(opts.store)?;
-        let indexes =
-            IndexSet::open_with_metrics(store.pool().clone(), opts.index, store.metrics())?;
+        let indexes = IndexSet::open(store.pool().clone(), store.metrics())?;
         let mut db = Database { store, indexes, recovery: RecoveryReport::default() };
         if db.store.is_read_only() {
             // Salvage mode: index whatever chains still replay. A chain
@@ -218,7 +211,7 @@ impl Database {
             return Ok(r);
         };
         let covers: HashMap<DocId, DocCover> = ckpt.covers.iter().map(|c| (c.doc, *c)).collect();
-        self.indexes.install(ckpt.fti, ckpt.delta);
+        self.indexes.install(ckpt.fti);
         r.state = IndexCheckpointState::Loaded;
         for (doc, _) in self.store.list()? {
             let entries = self.store.versions(doc)?;

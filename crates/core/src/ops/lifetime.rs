@@ -46,11 +46,11 @@ impl Database {
     ) -> Result<(Timestamp, usize)> {
         match strategy {
             LifetimeStrategy::Index => {
-                let idx = self
+                let lt = self
                     .indexes()
                     .eid_index()
-                    .ok_or_else(|| Error::Unsupported("EID-time index disabled".into()))?;
-                let lt = idx.lifetime(teid.eid)?.ok_or(Error::NoSuchElement(teid.eid))?;
+                    .lifetime(teid.eid)?
+                    .ok_or(Error::NoSuchElement(teid.eid))?;
                 Ok((lt.created, 0))
             }
             LifetimeStrategy::Traverse => {
@@ -111,11 +111,11 @@ impl Database {
     ) -> Result<(Timestamp, usize)> {
         match strategy {
             LifetimeStrategy::Index => {
-                let idx = self
+                let lt = self
                     .indexes()
                     .eid_index()
-                    .ok_or_else(|| Error::Unsupported("EID-time index disabled".into()))?;
-                let lt = idx.lifetime(teid.eid)?.ok_or(Error::NoSuchElement(teid.eid))?;
+                    .lifetime(teid.eid)?
+                    .ok_or(Error::NoSuchElement(teid.eid))?;
                 Ok((lt.deleted, 0))
             }
             LifetimeStrategy::Traverse => {

@@ -13,15 +13,19 @@
 //! `(doc, version, op, xid)`, supporting change-oriented queries like
 //! *"when was a restaurant named napoli deleted?"* without touching any
 //! reconstruction path.
+//!
+//! The index is not maintained on the commit path and is not part of the
+//! index checkpoint: [`DeltaContentIndex::build`] reads it off the stored
+//! delta chain when someone asks for it, so it always describes exactly
+//! the deltas a store still holds.
 
 use std::collections::HashMap;
 
-use txdb_base::{DocId, Error, Result, VersionId, Xid};
+use txdb_base::{DocId, Result, VersionId, Xid};
 use txdb_delta::{Delta, EditOp};
+use txdb_storage::repo::{DocumentStore, VersionKind};
 use txdb_xml::similarity::tokenize;
 use txdb_xml::tree::{NodeKind, Tree};
-
-use crate::persist::{read_u8, read_varint, write_varint};
 
 /// Kind of change an entry describes.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -64,7 +68,7 @@ pub struct ChangeEntry {
 }
 
 /// The delta-content index.
-#[derive(Default)]
+#[derive(Default, Debug, PartialEq)]
 pub struct DeltaContentIndex {
     lists: HashMap<String, Vec<ChangeEntry>>,
     entries: usize,
@@ -76,6 +80,39 @@ impl DeltaContentIndex {
         Self::default()
     }
 
+    /// Indexes every delta `store` still holds. A tombstone stores no
+    /// delta; one that follows a content version is indexed as the delete
+    /// of that version's whole document. Vacuumed history has neither, so
+    /// no entry names a purged version.
+    pub fn build(store: &DocumentStore) -> Result<Self> {
+        let mut idx = DeltaContentIndex::new();
+        for (doc, _) in store.list()? {
+            let entries = store.versions(doc)?;
+            for (i, e) in entries.iter().enumerate() {
+                match e.kind {
+                    VersionKind::Content => {
+                        if let Some(d) = store.delta(doc, e.version)? {
+                            idx.index_delta(doc, &d);
+                        }
+                    }
+                    VersionKind::Tombstone => {
+                        let prev =
+                            entries[..i].iter().rev().find(|p| p.kind == VersionKind::Content);
+                        if let Some(p) = prev {
+                            let old_tree = store.version_tree(doc, p.version)?;
+                            for &r in old_tree.roots() {
+                                let subtree = old_tree.extract_subtree(r);
+                                idx.add_subtree(doc, e.version, ChangeOp::Delete, &subtree);
+                            }
+                        }
+                    }
+                    VersionKind::Purged => {}
+                }
+            }
+        }
+        Ok(idx)
+    }
+
     fn add(&mut self, token: impl Into<String>, entry: ChangeEntry) {
         let list = self.lists.entry(token.into()).or_default();
         // One entry per (token, op occurrence).
@@ -85,7 +122,12 @@ impl DeltaContentIndex {
         }
     }
 
-    fn add_subtree_tokens(&mut self, tree: &Tree, entry: ChangeEntry) {
+    /// Indexes an inserted or deleted subtree: the operation keyword plus
+    /// every name, attribute and text token inside, all naming the root.
+    fn add_subtree(&mut self, doc: DocId, version: VersionId, op: ChangeOp, tree: &Tree) {
+        let xid = tree.root().map(|r| tree.node(r).xid).unwrap_or(Xid::NONE);
+        let entry = ChangeEntry { doc, version, op, xid };
+        self.add(op.keyword(), entry.clone());
         for n in tree.iter() {
             match &tree.node(n).kind {
                 NodeKind::Element { name, attrs } => {
@@ -106,21 +148,15 @@ impl DeltaContentIndex {
     }
 
     /// Indexes one completed delta.
-    pub fn index_delta(&mut self, doc: DocId, delta: &Delta) {
+    fn index_delta(&mut self, doc: DocId, delta: &Delta) {
         let version = delta.to_version;
         for op in &delta.ops {
             match op {
                 EditOp::InsertSubtree { subtree, .. } => {
-                    let xid = subtree.root().map(|r| subtree.node(r).xid).unwrap_or(Xid::NONE);
-                    let entry = ChangeEntry { doc, version, op: ChangeOp::Insert, xid };
-                    self.add(ChangeOp::Insert.keyword(), entry.clone());
-                    self.add_subtree_tokens(subtree, entry);
+                    self.add_subtree(doc, version, ChangeOp::Insert, subtree);
                 }
                 EditOp::DeleteSubtree { subtree, .. } => {
-                    let xid = subtree.root().map(|r| subtree.node(r).xid).unwrap_or(Xid::NONE);
-                    let entry = ChangeEntry { doc, version, op: ChangeOp::Delete, xid };
-                    self.add(ChangeOp::Delete.keyword(), entry.clone());
-                    self.add_subtree_tokens(subtree, entry);
+                    self.add_subtree(doc, version, ChangeOp::Delete, subtree);
                 }
                 EditOp::UpdateText { xid, old, new, .. } => {
                     let entry = ChangeEntry { doc, version, op: ChangeOp::Update, xid: *xid };
@@ -154,23 +190,13 @@ impl DeltaContentIndex {
     /// delete/…/napoli" becomes `find("napoli", Some(Delete))` joined with
     /// structural tokens).
     pub fn find(&self, token: &str, op: Option<ChangeOp>) -> Vec<&ChangeEntry> {
-        self.find_cursor(token, op).collect()
-    }
-
-    /// Cursor form of [`DeltaContentIndex::find`]: lazily yields matching
-    /// change entries so callers that stop early (intersection emptied,
-    /// LIMIT satisfied) never walk the rest of the list.
-    pub fn find_cursor<'a>(
-        &'a self,
-        token: &str,
-        op: Option<ChangeOp>,
-    ) -> impl Iterator<Item = &'a ChangeEntry> + 'a {
         self.lists
             .get(&token.to_lowercase())
             .map(|l| l.as_slice())
             .unwrap_or_default()
             .iter()
-            .filter(move |e| op.is_none_or(|o| e.op == o))
+            .filter(|e| op.is_none_or(|o| e.op == o))
+            .collect()
     }
 
     /// Conjunction: versions in which *all* tokens took part in a matching
@@ -186,79 +212,6 @@ impl DeltaContentIndex {
             first.into_iter().filter(|k| sets[1..].iter().all(|s| s.contains(k))).collect();
         out.sort();
         out
-    }
-
-    /// Removes every entry of a document (stale-checkpoint repair path).
-    pub fn drop_document(&mut self, doc: DocId) {
-        let entries = &mut self.entries;
-        self.lists.retain(|_, l| {
-            let before = l.len();
-            l.retain(|e| e.doc != doc);
-            *entries -= before - l.len();
-            !l.is_empty()
-        });
-    }
-
-    /// Serializes the index: sorted token dictionary, entries as varints.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        let mut tokens: Vec<(&String, &Vec<ChangeEntry>)> = self.lists.iter().collect();
-        tokens.sort_by_key(|(t, _)| t.as_str());
-        write_varint(out, tokens.len() as u64);
-        for (token, list) in tokens {
-            write_varint(out, token.len() as u64);
-            out.extend_from_slice(token.as_bytes());
-            write_varint(out, list.len() as u64);
-            for e in list {
-                write_varint(out, e.doc.0 as u64);
-                write_varint(out, e.version.0 as u64);
-                out.push(match e.op {
-                    ChangeOp::Insert => 0,
-                    ChangeOp::Delete => 1,
-                    ChangeOp::Update => 2,
-                    ChangeOp::Move => 3,
-                });
-                write_varint(out, e.xid.0);
-            }
-        }
-    }
-
-    /// Deserializes an index written by
-    /// [`DeltaContentIndex::encode_into`]. Consumes its portion of
-    /// `input`.
-    pub fn decode_from(input: &mut &[u8]) -> Result<DeltaContentIndex> {
-        let mut idx = DeltaContentIndex::new();
-        let n_tokens = read_varint(input)? as usize;
-        for _ in 0..n_tokens {
-            let len = read_varint(input)? as usize;
-            if input.len() < len {
-                return Err(Error::Corrupt("delta index checkpoint: truncated token".into()));
-            }
-            let (head, rest) = input.split_at(len);
-            *input = rest;
-            let token = String::from_utf8(head.to_vec())
-                .map_err(|_| Error::Corrupt("delta index checkpoint: token not UTF-8".into()))?;
-            let n_entries = read_varint(input)? as usize;
-            let list = idx.lists.entry(token).or_default();
-            for _ in 0..n_entries {
-                let doc = DocId(u32::try_from(read_varint(input)?).map_err(|_| {
-                    Error::Corrupt("delta index checkpoint: doc id overflow".into())
-                })?);
-                let version = VersionId(u32::try_from(read_varint(input)?).map_err(|_| {
-                    Error::Corrupt("delta index checkpoint: version overflow".into())
-                })?);
-                let op = match read_u8(input)? {
-                    0 => ChangeOp::Insert,
-                    1 => ChangeOp::Delete,
-                    2 => ChangeOp::Update,
-                    3 => ChangeOp::Move,
-                    x => return Err(Error::Corrupt(format!("delta index checkpoint: bad op {x}"))),
-                };
-                let xid = Xid(read_varint(input)?);
-                list.push(ChangeEntry { doc, version, op, xid });
-                idx.entries += 1;
-            }
-        }
-        Ok(idx)
     }
 
     /// Total entries (index-size metric for E7).
@@ -279,6 +232,7 @@ impl DeltaContentIndex {
 mod tests {
     use super::*;
     use txdb_base::{Timestamp, VersionId};
+    use txdb_storage::repo::StoreOptions;
     use txdb_xml::parse::parse_document;
     use txdb_xml::tree::NodeId;
 
@@ -385,47 +339,91 @@ mod tests {
     }
 
     #[test]
-    fn encode_decode_round_trip() {
-        let mut idx = DeltaContentIndex::new();
-        let d = delta(vec![EditOp::UpdateText {
-            xid: Xid(5),
-            old: "fifteen".into(),
-            new: "eighteen".into(),
-            old_ts: Timestamp::ZERO,
-        }]);
-        idx.index_delta(DocId(1), &d);
-        let mut blob = Vec::new();
-        idx.encode_into(&mut blob);
-        let mut cursor = blob.as_slice();
-        let back = DeltaContentIndex::decode_from(&mut cursor).unwrap();
-        assert!(cursor.is_empty());
-        assert_eq!(back.entry_count(), idx.entry_count());
-        assert_eq!(back.find("fifteen", Some(ChangeOp::Update)).len(), 1);
-        assert_eq!(back.find("update", None).len(), 1);
-    }
-
-    #[test]
-    fn drop_document_prunes_entries_and_counts() {
-        let mut idx = DeltaContentIndex::new();
-        let d = delta(vec![EditOp::UpdateText {
-            xid: Xid(5),
-            old: "a".into(),
-            new: "b".into(),
-            old_ts: Timestamp::ZERO,
-        }]);
-        idx.index_delta(DocId(1), &d);
-        idx.index_delta(DocId(2), &d);
-        let before = idx.entry_count();
-        idx.drop_document(DocId(1));
-        assert_eq!(idx.entry_count(), before / 2);
-        assert!(idx.find("a", None).iter().all(|e| e.doc == DocId(2)));
-    }
-
-    #[test]
     fn empty_queries() {
         let idx = DeltaContentIndex::new();
         assert!(idx.find("x", None).is_empty());
         assert!(idx.find_all(&[], None).is_empty());
         assert_eq!(idx.entry_count(), 0);
+    }
+
+    fn ts(n: u64) -> Timestamp {
+        Timestamp::from_micros(n * 1000)
+    }
+
+    fn memory_store() -> DocumentStore {
+        DocumentStore::open(StoreOptions::default()).unwrap().0
+    }
+
+    #[test]
+    fn build_indexes_changes_not_content() {
+        let store = memory_store();
+        store.put("d", "<g><k>kept</k><n>Napoli</n></g>", ts(1)).unwrap();
+        store.put("d", "<g><k>kept</k><n>Roma</n></g>", ts(2)).unwrap();
+        let di = DeltaContentIndex::build(&store).unwrap();
+        assert_eq!(di.find("napoli", Some(ChangeOp::Update)).len(), 1);
+        assert_eq!(di.find("roma", None).len(), 1);
+        // Content no delta touched is not indexed.
+        assert!(di.find("kept", None).is_empty());
+    }
+
+    #[test]
+    fn build_indexes_a_deleted_subtree() {
+        let store = memory_store();
+        store.put("d", "<g><n>Napoli</n></g>", ts(1)).unwrap();
+        store.put("d", "<g></g>", ts(2)).unwrap();
+        let di = DeltaContentIndex::build(&store).unwrap();
+        assert_eq!(di.find("napoli", Some(ChangeOp::Delete)).len(), 1);
+    }
+
+    #[test]
+    fn build_synthesizes_the_delete_of_a_tombstone() {
+        let store = memory_store();
+        store.put("d", "<g><n>Napoli</n></g>", ts(1)).unwrap();
+        let tomb = store.delete("d", ts(2)).unwrap().unwrap();
+        let di = DeltaContentIndex::build(&store).unwrap();
+        let hits = di.find("napoli", Some(ChangeOp::Delete));
+        assert_eq!(hits.len(), 1);
+        assert_eq!(hits[0].version, tomb.version);
+        assert_eq!(di.find_all(&["g", "n", "napoli"], Some(ChangeOp::Delete)).len(), 1);
+    }
+
+    #[test]
+    fn build_after_a_vacuum_equals_build_after_a_reopen() {
+        // A four-version history vacuumed below its third version, and a
+        // deleted document vacuumed below its tombstone. The live handle
+        // and a reopen that replays the WAL must build the same index, and
+        // no entry may name a version the vacuum purged.
+        let dir = std::env::temp_dir().join(format!("txdb-deltaindex-vac-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let opts = StoreOptions { path: Some(dir.clone()), ..StoreOptions::default() };
+        let live = {
+            let store = DocumentStore::open(opts.clone()).unwrap().0;
+            for (i, w) in ["one", "two", "three", "four"].into_iter().enumerate() {
+                let xml = format!("<g><n>{w}</n><x{i}/></g>");
+                store.put("d", &xml, ts(i as u64 + 1)).unwrap();
+            }
+            store.put("e", "<h><n>gone</n></h>", ts(5)).unwrap();
+            store.put("e", "<h><n>gone</n><m/></h>", ts(6)).unwrap();
+            store.delete("e", ts(7)).unwrap();
+            assert!(store.vacuum("d", ts(4)).unwrap().unwrap().purged_versions > 0);
+            assert!(store.vacuum("e", ts(7)).unwrap().unwrap().purged_versions > 0);
+            let live = DeltaContentIndex::build(&store).unwrap();
+            for (doc, name) in store.list().unwrap() {
+                let entries = store.versions(doc).unwrap();
+                for list in live.lists.values() {
+                    for e in list.iter().filter(|e| e.doc == doc) {
+                        let kind = entries[e.version.0 as usize].kind;
+                        assert_ne!(kind, VersionKind::Purged, "{name}: entry {e:?} names a purge");
+                    }
+                }
+            }
+            live
+        };
+        assert!(!live.find("four", None).is_empty(), "the surviving delta is indexed");
+        assert!(live.find("one", None).is_empty(), "purged deltas are not");
+        let reopened = DocumentStore::open(opts).unwrap().0;
+        assert_eq!(live, DeltaContentIndex::build(&reopened).unwrap());
+        drop(reopened);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

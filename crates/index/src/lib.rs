@@ -8,7 +8,9 @@
 //! document." The temporal extension adds the three lookup modes
 //! `FTI_lookup`, `FTI_lookup_T` and `FTI_lookup_H`, and the paper weighs
 //! three *indexing alternatives*: index version contents (its choice),
-//! index delta operations, or both. This crate implements all of it:
+//! index delta operations, or both. This crate maintains the paper's
+//! choice and builds the delta-operation index on demand, so all three can
+//! be measured:
 //!
 //! * [`fti`] — the temporal full-text index. Postings carry `(doc, xid,
 //!   xid-path, [from_version, to_version))`; because XIDs are persistent,
@@ -20,10 +22,11 @@
 //!   traversal for `CreTime`/`DelTime` (benchmarked against it in E5).
 //! * [`deltaindex`] — the §7.2 second alternative: indexing the delta
 //!   *operations* ("facilitates search for the path
-//!   delete/restaurant/name/napoli"); part of the E7 ablation.
+//!   delete/restaurant/name/napoli"), built from the stored delta chain
+//!   when asked for; part of the E7 ablation.
 //! * [`maint`] — index maintenance driven by completed deltas: one
-//!   [`maint::IndexSet`] keeps every enabled index consistent on each
-//!   document put/delete, touching only changed elements.
+//!   [`maint::IndexSet`] keeps the FTI and the EID-time index consistent
+//!   on each document put/delete, touching only changed elements.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,5 +38,5 @@ pub mod maint;
 pub mod persist;
 
 pub use fti::{FullTextIndex, HistoryCursor, OccKind, OpenCursor, Posting, SnapshotCursor};
-pub use maint::{FtiMode, IndexConfig, IndexSet};
+pub use maint::IndexSet;
 pub use persist::{DocCover, IndexCheckpoint};

@@ -1,7 +1,7 @@
 //! Index maintenance driven by completed deltas.
 //!
-//! One [`IndexSet`] bundles the enabled indexes and keeps them consistent
-//! with the document store on every put/delete. Maintenance is
+//! One [`IndexSet`] bundles the indexes and keeps them consistent with
+//! the document store on every put/delete. Maintenance is
 //! **delta-driven**: only elements actually affected by a change are
 //! re-examined, which is what makes "the cost of storing only deltas" also
 //! pay off on the indexing side. The affected set of a delta is:
@@ -19,79 +19,39 @@
 //! itself) are diffed against the element's new occurrence signature; only
 //! the difference is closed/opened.
 //!
-//! [`FtiMode`] selects the §7.2 indexing alternative: version contents
-//! (the paper's choice), delta operations, or both (experiment E7).
+//! The set is the paper's choice of §7.2 — index version contents — plus
+//! the §7.3.6 EID-time index, both always maintained. §7.2's other
+//! alternative, indexing the delta operations, is a read-side structure
+//! built on demand from the stored chain
+//! ([`crate::deltaindex::DeltaContentIndex::build`]).
 
 use std::sync::Arc;
 
 use parking_lot::RwLock;
+use txdb_base::obs::Registry;
 use txdb_base::{DocId, Eid, Result, Timestamp, VersionId, Xid};
 use txdb_delta::{Delta, EditOp};
 use txdb_storage::buffer::BufferPool;
 use txdb_xml::similarity::tokenize;
 use txdb_xml::tree::{NodeId, NodeKind, Tree};
 
-use crate::deltaindex::DeltaContentIndex;
 use crate::eidindex::EidTimeIndex;
-use crate::fti::{FullTextIndex, OccKind};
-
-/// Which §7.2 indexing alternative the FTI side runs.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum FtiMode {
-    /// Index version contents (the paper's choice).
-    Versions,
-    /// Index delta operations only.
-    Deltas,
-    /// Both (largest indexes, highest update cost — E7 quantifies).
-    Both,
-}
-
-/// Index configuration.
-#[derive(Clone, Copy, Debug)]
-pub struct IndexConfig {
-    /// Indexing alternative for content search.
-    pub fti_mode: FtiMode,
-    /// Maintain the §7.3.6 EID-time index.
-    pub eid_index: bool,
-}
-
-impl Default for IndexConfig {
-    fn default() -> Self {
-        IndexConfig { fti_mode: FtiMode::Versions, eid_index: true }
-    }
-}
+use crate::fti::{FtiMetrics, FullTextIndex, OccKind};
 
 /// The bundle of indexes maintained alongside the document store.
 pub struct IndexSet {
-    /// Configuration the set was opened with.
-    pub config: IndexConfig,
     fti: RwLock<FullTextIndex>,
-    delta_index: RwLock<DeltaContentIndex>,
-    eid: Option<EidTimeIndex>,
+    eid: EidTimeIndex,
 }
 
 impl IndexSet {
-    /// Opens the index set; the EID index persists on the shared pool.
-    pub fn open(pool: Arc<BufferPool>, config: IndexConfig) -> Result<IndexSet> {
-        let eid = if config.eid_index { Some(EidTimeIndex::open(pool)?) } else { None };
-        Ok(IndexSet {
-            config,
-            fti: RwLock::new(FullTextIndex::new()),
-            delta_index: RwLock::new(DeltaContentIndex::new()),
-            eid,
-        })
-    }
-
-    /// Like [`IndexSet::open`] but with the FTI's per-mode lookup
-    /// counters registered in `reg` under `fti.*`.
-    pub fn open_with_metrics(
-        pool: Arc<BufferPool>,
-        config: IndexConfig,
-        reg: &txdb_base::obs::Registry,
-    ) -> Result<IndexSet> {
-        let set = IndexSet::open(pool, config)?;
-        set.fti.write().set_metrics(crate::fti::FtiMetrics::registered(reg));
-        Ok(set)
+    /// Opens the index set: an empty FTI whose per-mode lookup counters
+    /// are registered in `reg` under `fti.*`, and the EID-time index,
+    /// which persists on the shared pool.
+    pub fn open(pool: Arc<BufferPool>, reg: &Registry) -> Result<IndexSet> {
+        let mut fti = FullTextIndex::new();
+        fti.set_metrics(FtiMetrics::registered(reg));
+        Ok(IndexSet { fti: RwLock::new(fti), eid: EidTimeIndex::open(pool)? })
     }
 
     /// Read access to the temporal FTI.
@@ -99,47 +59,31 @@ impl IndexSet {
         self.fti.read()
     }
 
-    /// Read access to the delta-content index.
-    pub fn delta_index(&self) -> parking_lot::RwLockReadGuard<'_, DeltaContentIndex> {
-        self.delta_index.read()
+    /// The EID-time index.
+    pub fn eid_index(&self) -> &EidTimeIndex {
+        &self.eid
     }
 
-    /// The EID-time index, when enabled.
-    pub fn eid_index(&self) -> Option<&EidTimeIndex> {
-        self.eid.as_ref()
-    }
-
-    /// Replaces the in-memory indexes wholesale with checkpoint-loaded
-    /// ones. The EID-time index is untouched — it persists on the shared
-    /// buffer pool and never needs reloading. Metric handles carry over
-    /// from the replaced index so registry-shared counters keep counting.
-    pub fn install(&self, mut fti: FullTextIndex, delta_index: DeltaContentIndex) {
+    /// Replaces the in-memory FTI wholesale with a checkpoint-loaded one.
+    /// The EID-time index is untouched — it persists on the shared buffer
+    /// pool and never needs reloading. Metric handles carry over from the
+    /// replaced index so registry-shared counters keep counting.
+    pub fn install(&self, mut fti: FullTextIndex) {
         let mut cur = self.fti.write();
         fti.set_metrics(cur.metrics().clone());
         *cur = fti;
-        drop(cur);
-        *self.delta_index.write() = delta_index;
     }
 
-    /// Drops one document from the in-memory indexes (its checkpointed
-    /// image was stale); the caller rebuilds it by full replay.
+    /// Drops one document from the in-memory FTI (its checkpointed image
+    /// was stale); the caller rebuilds it by full replay.
     pub fn drop_document(&self, doc: DocId) {
         self.fti.write().drop_document(doc);
-        self.delta_index.write().drop_document(doc);
     }
 
-    /// Serializes the in-memory indexes with their per-document covers
-    /// into a checkpoint blob.
+    /// Serializes the in-memory FTI with the per-document covers into a
+    /// checkpoint blob.
     pub fn encode_checkpoint(&self, covers: &[crate::persist::DocCover]) -> Vec<u8> {
-        crate::persist::encode(covers, &self.fti.read(), &self.delta_index.read())
-    }
-
-    fn fti_enabled(&self) -> bool {
-        matches!(self.config.fti_mode, FtiMode::Versions | FtiMode::Both)
-    }
-
-    fn delta_enabled(&self) -> bool {
-        matches!(self.config.fti_mode, FtiMode::Deltas | FtiMode::Both)
+        crate::persist::encode(covers, &self.fti.read())
     }
 
     /// Maintains all indexes after a document put.
@@ -157,14 +101,6 @@ impl IndexSet {
         delta: Option<&Delta>,
         resurrected: bool,
     ) -> Result<()> {
-        if self.delta_enabled() {
-            if let Some(d) = delta {
-                self.delta_index.write().index_delta(doc, d);
-            }
-        }
-        if !self.fti_enabled() && self.eid.is_none() {
-            return Ok(());
-        }
         match (delta, resurrected) {
             (None, _) | (_, true) => self.reindex_all(doc, version, ts, new_tree, resurrected),
             (Some(d), false) => self.apply_delta(doc, version, ts, new_tree, d),
@@ -188,19 +124,15 @@ impl IndexSet {
                 continue;
             }
             let xid = tree.node(n).xid;
-            if self.fti_enabled() {
-                let path = tree.xid_path(n);
-                for (tok, kind) in element_signature(tree, n) {
-                    fti.open_posting(&tok, doc, xid, kind, &path, version);
-                }
+            let path = tree.xid_path(n);
+            for (tok, kind) in element_signature(tree, n) {
+                fti.open_posting(&tok, doc, xid, kind, &path, version);
             }
-            if let Some(eid_idx) = &self.eid {
-                let eid = Eid::new(doc, xid);
-                if revive && eid_idx.lifetime(eid)?.is_some() {
-                    eid_idx.on_revive(eid)?;
-                } else {
-                    eid_idx.on_create(eid, ts)?;
-                }
+            let eid = Eid::new(doc, xid);
+            if revive && self.eid.lifetime(eid)?.is_some() {
+                self.eid.on_revive(eid)?;
+            } else {
+                self.eid.on_create(eid, ts)?;
             }
         }
         Ok(())
@@ -280,55 +212,41 @@ impl IndexSet {
                 Some(n) if new_tree.node(n).is_element() => {
                     let desired_path = new_tree.xid_path(n);
                     let desired: Vec<(String, OccKind)> = element_signature(new_tree, n);
-                    let current =
-                        if self.fti_enabled() { fti.open_tokens(doc, xid) } else { Vec::new() };
-                    let existed = self
-                        .eid
-                        .as_ref()
-                        .map(|e| e.lifetime(Eid::new(doc, xid)))
-                        .transpose()?
-                        .flatten()
-                        .is_some_and(|lt| lt.is_alive())
+                    let current = fti.open_tokens(doc, xid);
+                    let eid = Eid::new(doc, xid);
+                    let existed = self.eid.lifetime(eid)?.is_some_and(|lt| lt.is_alive())
                         || !current.is_empty();
-                    if self.fti_enabled() {
-                        let path_changed = fti
-                            .open_path(doc, xid)
-                            .map(|p| p != desired_path.as_slice())
-                            .unwrap_or(false);
-                        if path_changed {
-                            for (tok, kind) in &current {
-                                fti.close_posting(tok, doc, xid, *kind, version);
-                            }
-                            for (tok, kind) in &desired {
-                                fti.open_posting(tok, doc, xid, *kind, &desired_path, version);
-                            }
-                        } else {
-                            for occ in current.iter().filter(|occ| !desired.contains(occ)) {
-                                fti.close_posting(&occ.0, doc, xid, occ.1, version);
-                            }
-                            for occ in desired.iter().filter(|occ| !current.contains(occ)) {
-                                fti.open_posting(&occ.0, doc, xid, occ.1, &desired_path, version);
-                            }
+                    let path_changed = fti
+                        .open_path(doc, xid)
+                        .map(|p| p != desired_path.as_slice())
+                        .unwrap_or(false);
+                    if path_changed {
+                        for (tok, kind) in &current {
+                            fti.close_posting(tok, doc, xid, *kind, version);
+                        }
+                        for (tok, kind) in &desired {
+                            fti.open_posting(tok, doc, xid, *kind, &desired_path, version);
+                        }
+                    } else {
+                        for occ in current.iter().filter(|occ| !desired.contains(occ)) {
+                            fti.close_posting(&occ.0, doc, xid, occ.1, version);
+                        }
+                        for occ in desired.iter().filter(|occ| !current.contains(occ)) {
+                            fti.open_posting(&occ.0, doc, xid, occ.1, &desired_path, version);
                         }
                     }
-                    if let Some(eid_idx) = &self.eid {
-                        if !existed {
-                            eid_idx.on_create(Eid::new(doc, xid), ts)?;
-                        }
+                    if !existed {
+                        self.eid.on_create(eid, ts)?;
                     }
                 }
                 _ => {
                     // Element no longer present: close everything.
-                    if self.fti_enabled() {
-                        for (tok, kind) in fti.open_tokens(doc, xid) {
-                            fti.close_posting(&tok, doc, xid, kind, version);
-                        }
+                    for (tok, kind) in fti.open_tokens(doc, xid) {
+                        fti.close_posting(&tok, doc, xid, kind, version);
                     }
-                    if let Some(eid_idx) = &self.eid {
-                        let eid = Eid::new(doc, xid);
-                        if eid_idx.lifetime(eid)?.is_some_and(|lt| lt.is_alive()) {
-                            eid_idx.on_delete(eid, ts)?;
-                        }
+                    let eid = Eid::new(doc, xid);
+                    if self.eid.lifetime(eid)?.is_some_and(|lt| lt.is_alive()) {
+                        self.eid.on_delete(eid, ts)?;
                     }
                 }
             }
@@ -340,13 +258,10 @@ impl IndexSet {
     /// below `horizon` (the first version that survived). Closed postings
     /// that ended at or before the horizon are unreachable by any lookup
     /// and are dropped in place — a long-lived handle sees its posting
-    /// lists shrink without a reopen. The delta-content index is left
-    /// alone: it records *changes*, which the vacuum does not rewrite.
-    /// Returns the number of postings removed.
+    /// lists shrink without a reopen. The EID-time index keeps exact
+    /// create/delete times, which a vacuum does not change. Returns the
+    /// number of postings removed.
     pub fn on_vacuum(&self, doc: DocId, horizon: VersionId) -> usize {
-        if !self.fti_enabled() {
-            return 0;
-        }
         self.fti.write().purge_below(doc, horizon.0)
     }
 
@@ -359,36 +274,12 @@ impl IndexSet {
         ts: Timestamp,
         old_tree: &Tree,
     ) -> Result<()> {
-        if self.fti_enabled() {
-            self.fti.write().close_document(doc, version);
-        }
-        if self.delta_enabled() {
-            // Synthesize the whole-document delete for the change index.
-            let mut ops = Vec::new();
-            for (pos, &r) in old_tree.roots().iter().enumerate() {
-                ops.push(EditOp::DeleteSubtree {
-                    parent: Xid::NONE,
-                    pos,
-                    subtree: old_tree.extract_subtree(r),
-                    old_parent_ts: Timestamp::ZERO,
-                });
-            }
-            let d = Delta {
-                from_version: VersionId(version.0.saturating_sub(1)),
-                to_version: version,
-                from_ts: Timestamp::ZERO,
-                to_ts: ts,
-                ops,
-            };
-            self.delta_index.write().index_delta(doc, &d);
-        }
-        if let Some(eid_idx) = &self.eid {
-            for n in old_tree.iter() {
-                if old_tree.node(n).is_element() {
-                    let eid = Eid::new(doc, old_tree.node(n).xid);
-                    if eid_idx.lifetime(eid)?.is_some_and(|lt| lt.is_alive()) {
-                        eid_idx.on_delete(eid, ts)?;
-                    }
+        self.fti.write().close_document(doc, version);
+        for n in old_tree.iter() {
+            if old_tree.node(n).is_element() {
+                let eid = Eid::new(doc, old_tree.node(n).xid);
+                if self.eid.lifetime(eid)?.is_some_and(|lt| lt.is_alive()) {
+                    self.eid.on_delete(eid, ts)?;
                 }
             }
         }
@@ -429,7 +320,6 @@ pub fn element_signature(tree: &Tree, n: NodeId) -> Vec<(String, OccKind)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::deltaindex::ChangeOp;
     use txdb_storage::repo::{DocumentStore, StoreOptions};
 
     fn ts(n: u64) -> Timestamp {
@@ -444,13 +334,9 @@ mod tests {
     }
 
     impl Fixture {
-        fn new(mode: FtiMode) -> Fixture {
+        fn new() -> Fixture {
             let store = DocumentStore::open(StoreOptions::default()).unwrap().0;
-            let idx = IndexSet::open(
-                store.pool().clone(),
-                IndexConfig { fti_mode: mode, ..IndexConfig::default() },
-            )
-            .unwrap();
+            let idx = IndexSet::open(store.pool().clone(), store.metrics()).unwrap();
             Fixture { store, idx }
         }
 
@@ -501,7 +387,7 @@ mod tests {
 
     #[test]
     fn initial_version_indexed() {
-        let f = Fixture::new(FtiMode::Versions);
+        let f = Fixture::new();
         f.put(
             "guide",
             r#"<guide><restaurant category="italian"><name>Napoli</name></restaurant></guide>"#,
@@ -519,7 +405,7 @@ mod tests {
 
     #[test]
     fn text_update_closes_and_opens() {
-        let f = Fixture::new(FtiMode::Versions);
+        let f = Fixture::new();
         f.put("d", "<g><r><p>fifteen</p></r></g>", ts(1));
         f.put("d", "<g><r><p>eighteen</p></r></g>", ts(2));
         let fti = f.idx.fti();
@@ -535,7 +421,7 @@ mod tests {
 
     #[test]
     fn insert_and_delete_subtrees() {
-        let f = Fixture::new(FtiMode::Versions);
+        let f = Fixture::new();
         f.put("d", "<g><r><n>Napoli</n></r></g>", ts(1));
         f.put("d", "<g><r><n>Napoli</n></r><r><n>Akropolis</n></r></g>", ts(2));
         assert_eq!(f.idx.fti().lookup("akropolis", OccKind::Word).len(), 1);
@@ -554,13 +440,13 @@ mod tests {
 
     #[test]
     fn document_delete_closes_postings_and_lifetimes() {
-        let f = Fixture::new(FtiMode::Versions);
+        let f = Fixture::new();
         let r = f.put("d", "<g><n>Napoli</n></g>", ts(1));
         f.delete("d", ts(2));
         assert_eq!(f.idx.fti().lookup("napoli", OccKind::Word).len(), 0);
         assert_eq!(f.fti_word_at("napoli", ts(1)), 1);
         // EID lifetimes closed at deletion.
-        let eidx = f.idx.eid_index().unwrap();
+        let eidx = f.idx.eid_index();
         let root_xid = {
             let t = &r.new_tree;
             t.node(t.root().unwrap()).xid
@@ -572,7 +458,7 @@ mod tests {
 
     #[test]
     fn resurrection_reopens_postings() {
-        let f = Fixture::new(FtiMode::Versions);
+        let f = Fixture::new();
         let r = f.put("d", "<g><n>Napoli</n></g>", ts(1));
         f.delete("d", ts(2));
         f.put("d", "<g><n>Napoli</n></g>", ts(3));
@@ -580,7 +466,7 @@ mod tests {
         assert_eq!(f.fti_word_at("napoli", ts(2)), 0, "gone during tombstone gap");
         assert_eq!(f.fti_word_at("napoli", ts(3)), 1);
         // Lifetime revived, original create time kept.
-        let eidx = f.idx.eid_index().unwrap();
+        let eidx = f.idx.eid_index();
         let root_xid = {
             let t = &r.new_tree;
             t.node(t.root().unwrap()).xid
@@ -592,11 +478,11 @@ mod tests {
 
     #[test]
     fn element_lifetimes_from_updates() {
-        let f = Fixture::new(FtiMode::Versions);
+        let f = Fixture::new();
         let r = f.put("d", "<g><a>one</a></g>", ts(1));
         f.put("d", "<g><a>one</a><b>two</b></g>", ts(2));
         f.put("d", "<g><b>two</b></g>", ts(3));
-        let eidx = f.idx.eid_index().unwrap();
+        let eidx = f.idx.eid_index();
         let lts = eidx.doc_lifetimes(r.doc).unwrap();
         // g, a, text(one) created at 1; b, text(two) created at 2; a's
         // lifetime [1, 3). Text nodes are not tracked (element index).
@@ -610,7 +496,7 @@ mod tests {
 
     #[test]
     fn move_updates_paths() {
-        let f = Fixture::new(FtiMode::Versions);
+        let f = Fixture::new();
         f.put("d", "<g><a><big><x>deep</x></big></a><b/></g>", ts(1));
         {
             let fti = f.idx.fti();
@@ -629,7 +515,7 @@ mod tests {
 
     #[test]
     fn attribute_change_indexed() {
-        let f = Fixture::new(FtiMode::Versions);
+        let f = Fixture::new();
         f.put("d", r#"<r category="italian"/>"#, ts(1));
         f.put("d", r#"<r category="greek"/>"#, ts(2));
         let fti = f.idx.fti();
@@ -641,7 +527,7 @@ mod tests {
     #[test]
     fn unchanged_elements_untouched() {
         // Posting count grows only by the changed element's tokens.
-        let f = Fixture::new(FtiMode::Versions);
+        let f = Fixture::new();
         f.put("d", "<g><r><n>Napoli</n><p>15</p></r><r><n>Akropolis</n><p>13</p></r></g>", ts(1));
         let before = f.idx.fti().posting_count();
         f.put("d", "<g><r><n>Napoli</n><p>18</p></r><r><n>Akropolis</n><p>13</p></r></g>", ts(2));
@@ -651,42 +537,11 @@ mod tests {
     }
 
     #[test]
-    fn delta_mode_indexes_changes_not_content() {
-        let f = Fixture::new(FtiMode::Deltas);
-        f.put("d", "<g><n>Napoli</n></g>", ts(1));
-        f.put("d", "<g><n>Roma</n></g>", ts(2));
-        // No content FTI.
-        assert_eq!(f.idx.fti().lookup("roma", OccKind::Word).len(), 0);
-        // But the change is findable.
-        let di = f.idx.delta_index();
-        assert_eq!(di.find("napoli", Some(ChangeOp::Update)).len(), 1);
-        assert_eq!(di.find("roma", None).len(), 1);
-    }
-
-    #[test]
-    fn both_mode_maintains_both() {
-        let f = Fixture::new(FtiMode::Both);
-        f.put("d", "<g><n>Napoli</n></g>", ts(1));
-        f.put("d", "<g></g>", ts(2));
-        assert_eq!(f.idx.fti().lookup_h("napoli", OccKind::Word).len(), 1);
-        assert_eq!(f.idx.delta_index().find("napoli", Some(ChangeOp::Delete)).len(), 1);
-    }
-
-    #[test]
-    fn delete_in_delta_mode_synthesizes_change() {
-        let f = Fixture::new(FtiMode::Deltas);
-        f.put("d", "<g><n>Napoli</n></g>", ts(1));
-        f.delete("d", ts(2));
-        let di = f.idx.delta_index();
-        assert_eq!(di.find("napoli", Some(ChangeOp::Delete)).len(), 1);
-    }
-
-    #[test]
     fn fti_oracle_agreement_random_workload() {
         // Differential check across a longer update sequence: word
         // changes, and from round to round items dropped, rotated and
         // swapped among their siblings.
-        let f = Fixture::new(FtiMode::Versions);
+        let f = Fixture::new();
         let words = ["alpha", "beta", "gamma", "delta"];
         let mut t = 1u64;
         for round in 0..12u64 {
@@ -720,7 +575,7 @@ mod tests {
     fn pure_reorder_adds_no_postings() {
         // Moves among siblings change no xid-path and no word set: the
         // index must not even look at the moved subtrees.
-        let f = Fixture::new(FtiMode::Versions);
+        let f = Fixture::new();
         let item = |k: usize| format!("<item><n>name{k}</n><p>{k}</p></item>");
         let forward: String = (0..20).map(item).collect();
         let shuffled: String = (0..20).map(|k| item((k * 7 + 3) % 20)).collect();

@@ -7,7 +7,6 @@
 //! [format varint]
 //! [covers: n, then per doc (doc, covered_entries, purged_in_prefix)]
 //! [full-text index — FullTextIndex::encode_into]
-//! [delta-content index — DeltaContentIndex::encode_into]
 //! ```
 //!
 //! The **cover** is the staleness contract. `covered` is the number of
@@ -22,11 +21,12 @@
 
 use txdb_base::{DocId, Error, Result};
 
-use crate::deltaindex::DeltaContentIndex;
 use crate::fti::FullTextIndex;
 
-/// Blob format version.
-pub const FORMAT: u64 = 1;
+/// Blob format version. Format 1 also carried the §7.2 delta-content
+/// index; it is rejected like any unknown format, so the open falls back
+/// to one full replay and the next checkpoint writes format 2.
+pub const FORMAT: u64 = 2;
 
 /// What the serialized indexes cover for one document.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,12 +48,10 @@ pub struct IndexCheckpoint {
     pub covers: Vec<DocCover>,
     /// The full-text index as of the covers.
     pub fti: FullTextIndex,
-    /// The delta-content index as of the covers.
-    pub delta: DeltaContentIndex,
 }
 
-/// Serializes covers + indexes into one blob.
-pub fn encode(covers: &[DocCover], fti: &FullTextIndex, delta: &DeltaContentIndex) -> Vec<u8> {
+/// Serializes covers + FTI into one blob.
+pub fn encode(covers: &[DocCover], fti: &FullTextIndex) -> Vec<u8> {
     let mut out = Vec::with_capacity(4096);
     write_varint(&mut out, FORMAT);
     write_varint(&mut out, covers.len() as u64);
@@ -63,7 +61,6 @@ pub fn encode(covers: &[DocCover], fti: &FullTextIndex, delta: &DeltaContentInde
         write_varint(&mut out, c.purged as u64);
     }
     fti.encode_into(&mut out);
-    delta.encode_into(&mut out);
     out
 }
 
@@ -90,11 +87,10 @@ pub fn decode(blob: &[u8]) -> Result<IndexCheckpoint> {
         covers.push(DocCover { doc, covered, purged });
     }
     let fti = FullTextIndex::decode_from(input)?;
-    let delta = DeltaContentIndex::decode_from(input)?;
     if !input.is_empty() {
         return Err(Error::Corrupt(format!("index checkpoint: {} trailing byte(s)", input.len())));
     }
-    Ok(IndexCheckpoint { covers, fti, delta })
+    Ok(IndexCheckpoint { covers, fti })
 }
 
 /// LEB128-style varint writer (same wire format as `txdb_xml::codec`).
@@ -146,11 +142,10 @@ mod tests {
 
     #[test]
     fn empty_checkpoint_round_trips() {
-        let blob = encode(&[], &FullTextIndex::new(), &DeltaContentIndex::new());
+        let blob = encode(&[], &FullTextIndex::new());
         let ckpt = decode(&blob).unwrap();
         assert!(ckpt.covers.is_empty());
         assert_eq!(ckpt.fti.posting_count(), 0);
-        assert_eq!(ckpt.delta.entry_count(), 0);
     }
 
     #[test]
@@ -159,7 +154,7 @@ mod tests {
             DocCover { doc: DocId(1), covered: 70, purged: 0 },
             DocCover { doc: DocId(9), covered: 3, purged: 2 },
         ];
-        let blob = encode(&covers, &FullTextIndex::new(), &DeltaContentIndex::new());
+        let blob = encode(&covers, &FullTextIndex::new());
         let ckpt = decode(&blob).unwrap();
         assert_eq!(ckpt.covers, covers);
     }
@@ -175,9 +170,8 @@ mod tests {
             &[Xid(1), Xid(3)],
             VersionId(0),
         );
-        let delta = DeltaContentIndex::new();
         let covers = vec![DocCover { doc: DocId(1), covered: 1, purged: 0 }];
-        let blob = encode(&covers, &fti, &delta);
+        let blob = encode(&covers, &fti);
         let ckpt = decode(&blob).unwrap();
         assert_eq!(ckpt.covers, covers);
         assert_eq!(ckpt.fti.lookup("napoli", OccKind::Word).len(), 1);
@@ -185,16 +179,22 @@ mod tests {
 
     #[test]
     fn trailing_bytes_rejected() {
-        let mut blob = encode(&[], &FullTextIndex::new(), &DeltaContentIndex::new());
+        let mut blob = encode(&[], &FullTextIndex::new());
         blob.push(0);
         assert!(matches!(decode(&blob), Err(Error::Corrupt(_))));
     }
 
     #[test]
     fn unknown_format_rejected() {
-        let mut blob = encode(&[], &FullTextIndex::new(), &DeltaContentIndex::new());
-        blob[0] = 99;
-        assert!(matches!(decode(&blob), Err(Error::Corrupt(_))));
+        let mut blob = encode(&[], &FullTextIndex::new());
+        // 1 is the previous format (it also held the delta-content index).
+        for format in [99, 1] {
+            blob[0] = format;
+            let Err(Error::Corrupt(note)) = decode(&blob) else {
+                panic!("format {format} accepted");
+            };
+            assert!(note.contains(&format!("unknown blob format {format}")), "{note}");
+        }
     }
 
     #[test]
@@ -202,7 +202,7 @@ mod tests {
         let mut fti = FullTextIndex::new();
         fti.open_posting("word", DocId(2), Xid(5), OccKind::Word, &[Xid(5)], VersionId(1));
         let covers = vec![DocCover { doc: DocId(2), covered: 2, purged: 0 }];
-        let blob = encode(&covers, &fti, &DeltaContentIndex::new());
+        let blob = encode(&covers, &fti);
         for cut in 0..blob.len() {
             assert!(decode(&blob[..cut]).is_err(), "truncation at {cut} accepted");
         }

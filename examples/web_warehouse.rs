@@ -11,18 +11,13 @@
 //! ```
 
 use temporal_xml::core::DbOptions;
-use temporal_xml::index::deltaindex::ChangeOp;
-use temporal_xml::index::maint::{FtiMode, IndexConfig};
+use temporal_xml::index::deltaindex::{ChangeOp, DeltaContentIndex};
 use temporal_xml::wgen::crawler::{simulate, CrawlConfig, CrawlKind};
 use temporal_xml::wgen::tdocgen::DocGen;
 use temporal_xml::{Duration, Interval, QueryExt, Timestamp};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // Index both version contents and delta operations (§7.2's third
-    // alternative) so change queries are index-served too.
-    let db = DbOptions::new()
-        .index_config(IndexConfig { fti_mode: FtiMode::Both, ..IndexConfig::default() })
-        .open()?;
+    let db = DbOptions::new().open()?;
 
     // Crawl 8 sites for ~3 weeks.
     let start = Timestamp::from_date(2001, 3, 1);
@@ -86,14 +81,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Change-oriented query via the delta-content index (§7.2, second
-    // alternative): in which versions was an <item> deleted?
-    let di = db.indexes().delta_index();
+    // alternative), built from the stored deltas: in which versions was an
+    // <item> deleted?
+    let di = DeltaContentIndex::build(db.store())?;
     let deletions = di.find("item", Some(ChangeOp::Delete));
     println!(
         "\n== delta-content index: versions that deleted an <item> ==\n  {} delete events",
         deletions.len()
     );
-    drop(di);
 
     // Per-document history inspection for the busiest page.
     let (busiest, _) = db
@@ -113,7 +108,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Index footprints (the E7 trade-off, §7.2).
     let fti = db.indexes().fti();
-    let di = db.indexes().delta_index();
     println!(
         "\n== index sizes ==\n  temporal FTI: {} postings (~{} KiB)\n  delta index:  {} entries (~{} KiB)",
         fti.posting_count(),

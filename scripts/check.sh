@@ -52,6 +52,18 @@ assert 'counters' in d and 'histograms' in d, d.keys()" "$out"
 }
 run_phase "txdb metrics --json smoke" metrics_smoke
 
+# Examples: clippy compiles them, this runs them to completion. The
+# library surface they drive is otherwise untested end to end, and
+# `web_warehouse` is the one user-facing reader of the on-demand §7.2
+# delta-content index (`DeltaContentIndex::build`).
+examples_smoke() {
+    local example
+    for example in quickstart restaurant_guide news_archive web_warehouse; do
+        cargo run -q --offline --example "$example" > /dev/null
+    done
+}
+run_phase "examples run to completion" examples_smoke
+
 # Crash robustness: the seeded checkpoint-interior sweep proves a crash at
 # any file-system operation inside a checkpoint flush recovers the exact
 # committed history, and a fault-injected open (torn WAL tail + unsealed

@@ -49,7 +49,6 @@ fn db_opts(vfs: &FaultyVfs, dir: &std::path::Path) -> DbOptions {
             vfs: Some(Arc::new(vfs.clone())),
             ..Default::default()
         },
-        ..Default::default()
     }
 }
 
