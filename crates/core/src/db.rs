@@ -17,7 +17,8 @@
 use std::collections::HashMap;
 
 use txdb_base::{DocId, Error, Result, Timestamp, VersionId};
-use txdb_index::maint::IndexSet;
+use txdb_delta::Walk;
+use txdb_index::maint::{IndexSet, IndexWriter};
 use txdb_index::persist::{self, DocCover};
 use txdb_storage::repo::{
     DeleteResult, DocumentStore, IndexCheckpointReport, IndexCheckpointState, PutResult,
@@ -152,22 +153,25 @@ impl Database {
             // work); the count is recorded so the caller can tell how
             // much of the database is unqueryable through the indexes.
             // The index checkpoint is ignored — the WAL is evidence and a
-            // full replay is the most conservative reconstruction.
-            report.unindexed_chains = db.rebuild_indexes_salvage();
+            // full replay is the most conservative reconstruction. An
+            // unreadable catalog indexes nothing; the salvage reason says why.
+            let docs = db.store.list().unwrap_or_default();
+            report.unindexed_chains =
+                docs.iter().filter(|(doc, _)| db.reindex(*doc).is_err()).count();
         } else {
-            report.index_checkpoint = db.load_or_rebuild_indexes()?;
+            report.index_checkpoint = db.load_indexes()?;
         }
         db.recovery = report;
         Ok(db)
     }
 
     /// Loads the persisted index checkpoint and replays only history above
-    /// each document's high-water mark; falls back to full replay —
-    /// globally when the checkpoint is absent/unreadable, per document
-    /// when a cover is stale (vacuum rewrote covered history). Every
-    /// fallback is recorded, none is an error: a bad checkpoint costs
+    /// each document's high-water mark; falls back to [`Database::reindex`]
+    /// — for every document when the checkpoint is absent/unreadable, per
+    /// document when a cover is stale (vacuum rewrote covered history).
+    /// Every fallback is recorded, none is an error: a bad checkpoint costs
     /// open time, never data.
-    fn load_or_rebuild_indexes(&self) -> Result<IndexCheckpointReport> {
+    fn load_indexes(&self) -> Result<IndexCheckpointReport> {
         let reg = self.store.metrics();
         let _span = reg.span("index.open_us");
         let mut r = IndexCheckpointReport::default();
@@ -187,13 +191,16 @@ impl Database {
             }
         };
         reg.histogram("checkpoint.load_us").record(load_started.elapsed().as_micros() as u64);
-        let Some(ckpt) = ckpt else {
-            r.state = if r.note.is_some() {
-                IndexCheckpointState::Fallback
-            } else {
-                IndexCheckpointState::Absent
-            };
-            if r.state == IndexCheckpointState::Fallback {
+        // Without a usable checkpoint no document has a cover, so every one
+        // takes the rebuild branch below.
+        let covers: HashMap<DocId, DocCover> = match ckpt {
+            Some(ckpt) => {
+                self.indexes.install(ckpt.fti);
+                r.state = IndexCheckpointState::Loaded;
+                ckpt.covers.iter().map(|c| (c.doc, *c)).collect()
+            }
+            None if r.note.is_some() => {
+                r.state = IndexCheckpointState::Fallback;
                 // The runtime-visible trail of the ROADMAP's "CRC/staleness
                 // fallback only visible via fsck" gap: count it and emit an
                 // event so operators see full replays without a debugger.
@@ -205,27 +212,24 @@ impl Database {
                         txdb_base::obs::EventValue::Str(r.note.as_deref().unwrap_or("unknown")),
                     )],
                 );
+                HashMap::new()
             }
-            r.docs_replayed = self.store.list()?.len();
-            self.rebuild_indexes()?;
-            return Ok(r);
+            None => HashMap::new(),
         };
-        let covers: HashMap<DocId, DocCover> = ckpt.covers.iter().map(|c| (c.doc, *c)).collect();
-        self.indexes.install(ckpt.fti);
-        r.state = IndexCheckpointState::Loaded;
         for (doc, _) in self.store.list()? {
             let entries = self.store.versions(doc)?;
             match covers.get(&doc) {
                 Some(c) if cover_fresh(c, &entries) => {
-                    r.versions_replayed += self.replay_chain(doc, &entries, c.covered as usize)?;
+                    let skip = c.covered as usize;
+                    self.replay_chain(&mut self.indexes.write(), doc, &entries, skip)?;
+                    r.versions_replayed += entries.len() - skip;
                     r.docs_loaded += 1;
                 }
                 cover => {
                     // Stale cover (vacuum rewrote covered history, or the
-                    // entry list shrank) or a document the checkpoint has
-                    // never seen: rebuild just this document.
+                    // entry list shrank) or a document without one: rebuild
+                    // just this document.
                     if cover.is_some() {
-                        self.indexes.drop_document(doc);
                         reg.counter("recovery.stale_cover_replays").inc();
                         reg.emit(
                             "recovery.stale_cover_replay",
@@ -235,7 +239,7 @@ impl Database {
                             format!("stale cover for doc {doc}: full replay")
                         });
                     }
-                    self.replay_chain(doc, &entries, 0)?;
+                    self.reindex(doc)?;
                     r.docs_replayed += 1;
                 }
             }
@@ -295,7 +299,7 @@ impl Database {
     pub fn delete(&self, name: &str, ts: Timestamp) -> Result<Option<DeleteResult>> {
         let r = self.store.delete(name, ts)?;
         if let Some(d) = &r {
-            self.indexes.on_delete(d.doc, d.version, d.ts, &d.old_tree)?;
+            self.indexes.write().on_delete(d.doc, d.version, d.ts, &d.old_tree)?;
         }
         Ok(r)
     }
@@ -343,11 +347,9 @@ impl Database {
     }
 
     /// Purges the history of `name` before the given horizon (see
-    /// [`DocumentStore::vacuum`]). The in-memory FTI shrinks in place:
-    /// closed postings whose range ended before the first surviving
-    /// version are dropped immediately, so a long-lived handle reclaims
-    /// the memory without a reopen (queries at purged times already
-    /// return nothing because the purged versions are unselectable).
+    /// [`DocumentStore::vacuum`]) and, if a version was purged, re-indexes
+    /// the document ([`Database::reindex`]): a live handle then holds
+    /// exactly what a reopen builds.
     pub fn vacuum(
         &self,
         name: &str,
@@ -356,54 +358,38 @@ impl Database {
         let Some(stats) = self.store.vacuum(name, before)? else { return Ok(None) };
         if stats.purged_versions > 0 {
             if let Some(doc) = self.store.doc_id(name)? {
-                let entries = self.store.versions(doc)?;
-                if let Some(first_live) = entries.iter().find(|e| e.kind != VersionKind::Purged) {
-                    self.indexes.on_vacuum(doc, first_live.version);
-                }
+                self.reindex(doc)?;
             }
         }
         Ok(Some(stats))
     }
 
-    /// Rebuilds the in-memory indexes by replaying every document's
-    /// version chain (used at open; also handy in tests).
-    pub fn rebuild_indexes(&self) -> Result<()> {
-        for (doc, _) in self.store.list()? {
-            self.rebuild_doc_indexes(doc)?;
-        }
-        Ok(())
+    /// Rebuilds `doc`'s postings and element lifetimes from its surviving
+    /// chain — the one rebuild path (open without a usable checkpoint, a
+    /// stale cover, salvage, vacuum). The chain is read under the FTI write
+    /// lock, so a concurrent put is either in it or indexed after the
+    /// rebuild, where re-applying it changes nothing.
+    pub fn reindex(&self, doc: DocId) -> Result<()> {
+        let mut w = self.indexes.write();
+        w.reindex(doc, |w| self.replay_chain(w, doc, &self.store.versions(doc)?, 0))
     }
 
-    /// Salvage-mode index rebuild: replays whatever chains still replay
-    /// and counts the ones that hit corruption instead of failing the
-    /// open. Returns the number of skipped (unindexed) chains.
-    fn rebuild_indexes_salvage(&self) -> usize {
-        let Ok(docs) = self.store.list() else {
-            // The catalog itself is unreadable: nothing indexed, and the
-            // salvage reason in the report already says why.
-            return 0;
-        };
-        docs.iter().filter(|(doc, _)| self.rebuild_doc_indexes(*doc).is_err()).count()
-    }
-
-    /// Replays one document's version chain into the in-memory indexes.
-    fn rebuild_doc_indexes(&self, doc: DocId) -> Result<()> {
-        let entries = self.store.versions(doc)?;
-        self.replay_chain(doc, &entries, 0).map(|_| ())
-    }
-
-    /// Replays `entries[skip..]` of one document into the in-memory
-    /// indexes, returning how many entries were replayed. `skip > 0` is
-    /// the checkpoint catch-up path: the skipped prefix is already
-    /// reflected in the loaded indexes, so only its *kinds* are scanned to
-    /// recover the replay state (was the document deleted? does the next
-    /// content version need full indexing?) — no trees are materialized
-    /// for covered history.
-    fn replay_chain(&self, doc: DocId, entries: &[VersionEntry], skip: usize) -> Result<usize> {
+    /// Replays `entries[skip..]` of one document through `w` on one forward
+    /// walk: the delta indexed for a version is the step into it. A point
+    /// reconstruction seeds the walk only at the first replayed version and
+    /// after a purged gap. `skip > 0` is the checkpoint catch-up path: only
+    /// the *kinds* of the skipped prefix, which the loaded indexes already
+    /// reflect, are scanned to recover the replay state.
+    fn replay_chain(
+        &self,
+        w: &mut IndexWriter<'_>,
+        doc: DocId,
+        entries: &[VersionEntry],
+        skip: usize,
+    ) -> Result<()> {
         let mut prev_tombstone = false;
         // The first content version after a vacuumed (purged) prefix
-        // must be indexed from scratch: its delta describes a change
-        // against a version that was never indexed.
+        // must be indexed from scratch: the vacuum freed its delta.
         let mut need_full = true;
         for e in &entries[..skip] {
             match e.kind {
@@ -415,51 +401,60 @@ impl Database {
                 }
             }
         }
+        // Stands on the last content version replayed.
+        let mut walk: Option<Walk> = None;
         for e in &entries[skip..] {
             match e.kind {
                 // Purged versions have no payload to index; history
                 // lookups at their times already return nothing.
                 VersionKind::Purged => {
                     need_full = true;
+                    walk = None;
                 }
                 VersionKind::Tombstone => {
-                    // The tree current before the tombstone:
-                    let prefix = &entries[..e.version.0 as usize];
-                    match prefix.iter().rev().find(|p| p.kind == VersionKind::Content) {
-                        Some(prev) => {
-                            let old_tree = self.store.version_tree(doc, prev.version)?;
-                            self.indexes.on_delete(doc, e.version, e.ts, &old_tree)?;
+                    if walk.is_none() {
+                        // The tree current before the tombstone lies in
+                        // the skipped prefix, or was purged.
+                        let prefix = &entries[..e.version.0 as usize];
+                        match prefix.iter().rev().find(|p| p.kind == VersionKind::Content) {
+                            Some(prev) => {
+                                walk = Some(Walk::new(self.store.version_tree(doc, prev.version)?))
+                            }
+                            // A vacuum can purge every content version
+                            // below a trailing tombstone: nothing is
+                            // indexed, so there is nothing to close.
+                            None if prefix.iter().any(|p| p.kind == VersionKind::Purged) => {}
+                            None => {
+                                return Err(Error::Corrupt(format!(
+                                    "doc {doc}: tombstone at v{} without preceding content",
+                                    e.version.0
+                                )));
+                            }
                         }
-                        // A vacuum can purge every content version below
-                        // a trailing tombstone: nothing is indexed, so
-                        // there is nothing to close.
-                        None if prefix.iter().any(|p| p.kind == VersionKind::Purged) => {}
-                        None => {
-                            return Err(Error::Corrupt(format!(
-                                "doc {doc}: tombstone at v{} without preceding content",
-                                e.version.0
-                            )));
-                        }
+                    }
+                    if let Some(walk) = &walk {
+                        w.on_delete(doc, e.version, e.ts, walk.tree())?;
                     }
                     prev_tombstone = true;
                 }
                 VersionKind::Content => {
-                    let tree = self.store.version_tree(doc, e.version)?;
                     let delta = if need_full { None } else { self.store.delta(doc, e.version)? };
-                    self.indexes.on_put(
-                        doc,
-                        e.version,
-                        e.ts,
-                        &tree,
-                        delta.as_ref(),
-                        prev_tombstone,
-                    )?;
+                    let tree = match (&mut walk, &delta) {
+                        (Some(walk), Some(d)) => {
+                            walk.forward(d)?;
+                            walk.tree()
+                        }
+                        (walk, _) => {
+                            walk.insert(Walk::new(self.store.version_tree(doc, e.version)?)).tree()
+                        }
+                    };
+                    w.on_put(doc, e.version, e.ts, tree, delta.as_ref(), prev_tombstone)?;
                     prev_tombstone = false;
                     need_full = false;
                 }
             }
         }
-        Ok(entries.len() - skip)
+        Ok(())
     }
 
     /// The version of `doc` valid at `ts` (delta-index lookup).
@@ -704,19 +699,99 @@ mod tests {
         assert_eq!(db.indexes().fti().lookup_h("one", OccKind::Word).len(), 1);
         let stats = db.vacuum("g", ts(4)).unwrap().unwrap();
         assert_eq!(stats.purged_versions, 2, "versions of 'one' and 'two' purged");
-        // The purged occurrences leave the live handle immediately — no
-        // reopen needed for the memory to come back.
+        // The vacuum re-indexes the document from its surviving chain:
+        // the purged occurrences leave the live handle without a reopen.
         let after = db.indexes().fti().posting_count();
-        assert!(after < before, "posting lists must shrink in place ({before} -> {after})");
+        assert!(after < before, "posting lists must shrink ({before} -> {after})");
         assert_eq!(db.indexes().fti().lookup_h("one", OccKind::Word).len(), 0);
         assert_eq!(db.indexes().fti().lookup_h("two", OccKind::Word).len(), 0);
-        // The surviving current version stays findable, and the remapped
-        // open structures still support maintenance.
+        // The surviving current version stays findable, and the rebuilt
+        // open structures support maintenance.
         assert_eq!(db.indexes().fti().lookup("three", OccKind::Word).len(), 1);
         db.put("g", "<a>four</a>", ts(5)).unwrap();
         assert_eq!(db.indexes().fti().lookup("three", OccKind::Word).len(), 0);
         assert_eq!(db.indexes().fti().lookup("four", OccKind::Word).len(), 1);
         assert_eq!(db.indexes().fti().lookup_h("three", OccKind::Word).len(), 1);
+    }
+
+    #[test]
+    fn full_replay_open_walks_the_chain_once() {
+        // A 25-item guide with 201 versions, vacuumed below its 11th
+        // version, opened with no index blob: the replay seeds one walk
+        // at the first surviving version and steps forward from there.
+        // Reconstructing every version from the current one instead costs
+        // 191 point reconstructions and 18,145 deltas.
+        let dir = tmp_dir("replay-walk");
+        let opts = DbOptions::at(&dir);
+        {
+            let db = opts.clone().open().unwrap();
+            for i in 0..201u64 {
+                let items: String = (0..25u64)
+                    .map(|k| {
+                        format!(
+                            "<r><n>n{k}</n><p>{}</p></r>",
+                            if k == i % 25 { i } else { 1000 + k }
+                        )
+                    })
+                    .collect();
+                db.put("g", &format!("<guide>{items}</guide>"), ts(10 * (i + 1))).unwrap();
+            }
+            let stats = db.vacuum("g", ts(115)).unwrap().unwrap();
+            assert_eq!(stats.purged_versions, 10);
+            db.store().checkpoint().unwrap();
+        }
+        let db = opts.open().unwrap();
+        let r = &db.recovery_report().index_checkpoint;
+        assert_eq!(r.state, IndexCheckpointState::Absent, "note: {:?}", r.note);
+        let snap = db.metrics().snapshot();
+        let calls = snap.counter("reconstruct.calls").unwrap_or(0);
+        let deltas = snap.counter("reconstruct.deltas_applied").unwrap_or(0);
+        assert!(calls <= 2, "point reconstructions: {calls}");
+        assert!(deltas <= 201, "deltas applied: {deltas}");
+        assert_eq!(db.indexes().fti().lookup("200", OccKind::Word).len(), 1);
+        assert_eq!(db.indexes().fti().lookup_h("3", OccKind::Word).len(), 0, "only in v3");
+        assert_eq!(db.indexes().fti().lookup_h("13", OccKind::Word).len(), 1);
+        drop(db);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn full_replay_open_of_many_documents_rebuilds_each_in_its_own_time() {
+        // A full-replay open rebuilds document after document into one
+        // growing index. Each rebuild must touch only its own document's
+        // postings, or the open is quadratic in the documents: rebuilding
+        // a small document in a 3,000-document store costs what it costs
+        // alone (a whole-index scan per rebuild made it ~30x slower).
+        let guide = |d: u64| format!("<g><r><n>name{d}</n><a>{d} main</a></r></g>");
+        let dir = tmp_dir("many-docs");
+        {
+            let db = DbOptions::at(&dir).open().unwrap();
+            for d in 0..3000u64 {
+                db.put(&format!("g{d}"), &guide(d), ts(d + 1)).unwrap();
+                db.put(&format!("g{d}"), &guide(d + 1), ts(d + 5000)).unwrap();
+            }
+        }
+        let db = DbOptions::at(&dir).open().unwrap();
+        let r = &db.recovery_report().index_checkpoint;
+        assert_eq!((r.state, r.docs_replayed), (IndexCheckpointState::Absent, 3000));
+        assert_eq!(db.indexes().fti().lookup("name2999", OccKind::Word).len(), 1);
+        assert_eq!(db.indexes().fti().lookup_h("name2999", OccKind::Word).len(), 2);
+        let alone = Database::in_memory();
+        alone.put("g0", &guide(0), ts(1)).unwrap();
+        alone.put("g0", &guide(1), ts(5000)).unwrap();
+        let rebuild = |db: &Database| {
+            let doc = db.store().doc_id("g0").unwrap().unwrap();
+            let runs = (0..30).map(|_| {
+                let t = std::time::Instant::now();
+                db.reindex(doc).unwrap();
+                t.elapsed()
+            });
+            runs.min().unwrap()
+        };
+        let (crowded, single) = (rebuild(&db), rebuild(&alone));
+        assert!(crowded < single * 4, "rebuild among 3,000 docs {crowded:?}, alone {single:?}");
+        drop(db);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -733,7 +808,7 @@ mod tests {
             delta_rid: None,
             snapshot_rid: None,
         }];
-        let err = db.replay_chain(doc, &entries, 0).unwrap_err();
+        let err = db.replay_chain(&mut db.indexes.write(), doc, &entries, 0).unwrap_err();
         assert!(matches!(err, Error::Corrupt(_)), "got {err:?}");
         assert!(err.to_string().contains("without preceding content"), "got {err}");
     }

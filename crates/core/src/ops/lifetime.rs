@@ -116,7 +116,10 @@ impl Database {
                     .eid_index()
                     .lifetime(teid.eid)?
                     .ok_or(Error::NoSuchElement(teid.eid))?;
-                Ok((lt.deleted, 0))
+                // A resurrection revives the one lifetime the index keeps:
+                // a tombstone after the TEID ended the life it names.
+                let tombstone = self.store().next_tombstone(teid.doc(), teid.ts)?;
+                Ok((tombstone.map_or(lt.deleted, |t| t.min(lt.deleted)), 0))
             }
             LifetimeStrategy::Traverse => {
                 let doc = teid.doc();
@@ -244,6 +247,23 @@ mod tests {
         let eid = Eid::new(doc, t0.node(a).xid);
         for strat in [LifetimeStrategy::Traverse, LifetimeStrategy::Index] {
             assert_eq!(db.del_time(eid.at(ts(10)), strat).unwrap(), ts(50), "{strat:?}");
+        }
+    }
+
+    #[test]
+    fn del_time_before_a_resurrection_is_the_tombstone() {
+        // A resurrection revives the root; a TEID from its first life
+        // still names a life that ended at the tombstone.
+        let db = Database::in_memory();
+        let doc = db.put("d", "<g><a/></g>", ts(10)).unwrap().doc;
+        db.delete("d", ts(20)).unwrap();
+        db.put("d", "<g><a/></g>", ts(30)).unwrap();
+        let t0 = db.store().version_tree(doc, VersionId(0)).unwrap();
+        let root = Eid::new(doc, t0.node(t0.root().unwrap()).xid);
+        for strat in [LifetimeStrategy::Traverse, LifetimeStrategy::Index] {
+            assert_eq!(db.del_time(root.at(ts(10)), strat).unwrap(), ts(20), "{strat:?}");
+            assert_eq!(db.del_time(root.at(ts(30)), strat).unwrap(), Timestamp::FOREVER);
+            assert_eq!(db.cre_time(root.at(ts(30)), strat).unwrap(), ts(10), "{strat:?}");
         }
     }
 

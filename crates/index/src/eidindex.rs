@@ -86,6 +86,12 @@ impl EidTimeIndex {
         Ok(())
     }
 
+    /// Forgets an element (it appears in no surviving version).
+    pub fn remove(&self, eid: Eid) -> Result<()> {
+        self.tree.delete(&key_of(eid))?;
+        Ok(())
+    }
+
     /// Looks up an element's lifetime.
     pub fn lifetime(&self, eid: Eid) -> Result<Option<ElementLifetime>> {
         let Some(v) = self.tree.get(&key_of(eid))? else { return Ok(None) };

@@ -154,8 +154,7 @@ struct TokenList {
 
 /// An open posting's address: token, occurrence kind, index into the
 /// per-doc posting vector. Maintenance only appends, so indices stay
-/// stable between mutations; the one operation that compacts a posting
-/// vector ([`FullTextIndex::purge_below`]) remaps these references.
+/// stable.
 type OpenRef = (String, OccKind, usize);
 
 /// The temporal full-text index.
@@ -164,6 +163,9 @@ pub struct FullTextIndex {
     lists: HashMap<String, TokenList>,
     /// Open postings per (doc, element).
     open: HashMap<(DocId, Xid), Vec<OpenRef>>,
+    /// The tokens with postings in each document, so that whole-document
+    /// work (close, drop, list elements) touches only that document.
+    doc_tokens: HashMap<DocId, HashSet<String>>,
     /// Per-mode lookup counters (shared with the registry when attached).
     metrics: FtiMetrics,
 }
@@ -210,6 +212,10 @@ impl FullTextIndex {
         });
         per_doc.open.push(idx as u32);
         self.open.entry((doc, xid)).or_default().push((token.to_string(), kind, idx));
+        let tokens = self.doc_tokens.entry(doc).or_default();
+        if !tokens.contains(token) {
+            tokens.insert(token.to_string());
+        }
     }
 
     /// Closes the open posting for `(doc, xid, token, kind)` at `version`
@@ -248,21 +254,14 @@ impl FullTextIndex {
     /// Closes *every* open posting of a document at `version` (document
     /// deletion).
     pub fn close_document(&mut self, doc: DocId, version: VersionId) {
-        let keys: Vec<(DocId, Xid)> =
-            self.open.keys().filter(|(d, _)| *d == doc).copied().collect();
-        for key in keys {
-            if let Some(entries) = self.open.remove(&key) {
-                for (t, _, idx) in entries {
-                    let per_doc = self
-                        .lists
-                        .get_mut(&t)
-                        .expect("list exists")
-                        .by_doc
-                        .get_mut(&doc)
-                        .expect("doc list exists");
-                    per_doc.postings[idx].to_version = version.0;
-                    per_doc.open.retain(|&i| i != idx as u32);
-                }
+        for t in self.doc_tokens.get(&doc).into_iter().flatten() {
+            let Some(g) = self.lists.get_mut(t).and_then(|l| l.by_doc.get_mut(&doc)) else {
+                continue;
+            };
+            for i in g.open.drain(..) {
+                let p = &mut g.postings[i as usize];
+                p.to_version = version.0;
+                self.open.remove(&(doc, p.xid));
             }
         }
     }
@@ -274,6 +273,21 @@ impl FullTextIndex {
             .get(&(doc, xid))
             .map(|v| v.iter().map(|(t, k, _)| (t.clone(), *k)).collect())
             .unwrap_or_default()
+    }
+
+    /// True while the element has an open Name posting, i.e. while it is in
+    /// its document's current version (every element has a Name posting).
+    pub fn is_alive(&self, doc: DocId, xid: Xid) -> bool {
+        self.open.get(&(doc, xid)).is_some_and(|v| v.iter().any(|(_, k, _)| *k == OccKind::Name))
+    }
+
+    /// Every element of `doc` that has a posting: the elements of its
+    /// indexed versions.
+    pub fn doc_elements(&self, doc: DocId) -> HashSet<Xid> {
+        (self.doc_tokens.get(&doc).into_iter().flatten())
+            .filter_map(|t| self.lists.get(t)?.by_doc.get(&doc))
+            .flat_map(|g| g.postings.iter().map(|p| p.xid))
+            .collect()
     }
 
     /// The path recorded on the open postings of one element (all open
@@ -423,74 +437,21 @@ impl FullTextIndex {
         self.lists.len()
     }
 
-    /// Shrinks a document's posting lists after a vacuum: every *closed*
-    /// posting whose range ended at or before `horizon` (the first version
-    /// that survived the purge) is dropped in place. Such postings are
-    /// unreachable — current lookups only walk open postings, and snapshot
-    /// lookups can no longer resolve a purged version, so any resolvable
-    /// `v >= horizon` fails `v < to_version`. Whole-history lookups lose
-    /// the purged occurrences, which is exactly what vacuuming history
-    /// means. Returns the number of postings removed.
-    ///
-    /// Surviving postings are compacted, so the per-doc indices held by
-    /// `open` lists and the open-posting map are remapped; open postings
-    /// themselves are never removed (their range has no upper bound).
-    ///
-    /// Survivors that started below the horizon are clamped to start at
-    /// it, which is where a replay of the vacuumed chain starts them (it
-    /// indexes the first surviving version from scratch). The clamp is
-    /// monotone, so `from_version` stays non-decreasing.
-    pub fn purge_below(&mut self, doc: DocId, horizon: u32) -> usize {
-        let mut removed = 0usize;
-        let open_map = &mut self.open;
-        self.lists.retain(|token, list| {
-            let Some(g) = list.by_doc.get_mut(&doc) else { return true };
-            let before = g.postings.len();
-            g.postings.retain(|p| p.to_version == OPEN || p.to_version > horizon);
-            for p in &mut g.postings {
-                p.from_version = p.from_version.max(horizon);
-            }
-            let dropped = before - g.postings.len();
-            if dropped == 0 {
-                return true;
-            }
-            removed += dropped;
-            list.total -= dropped;
-            // Compaction renumbered the survivors: rebuild the open list
-            // and patch the open-map references for this token.
-            g.open.clear();
-            for (idx, p) in g.postings.iter().enumerate() {
-                if !p.is_open() {
-                    continue;
-                }
-                g.open.push(idx as u32);
-                if let Some(entries) = open_map.get_mut(&(doc, p.xid)) {
-                    for e in entries.iter_mut() {
-                        if e.0 == *token && e.1 == p.kind {
-                            e.2 = idx;
-                        }
-                    }
-                }
-            }
-            if g.postings.is_empty() {
-                list.by_doc.remove(&doc);
-            }
-            !list.by_doc.is_empty()
-        });
-        removed
-    }
-
     /// Removes every trace of a document (postings, open lists, open-map
-    /// entries). Used when a checkpointed image of the document is stale
-    /// and the document must be rebuilt by full replay.
+    /// entries) before its chain is replayed from scratch.
     pub fn drop_document(&mut self, doc: DocId) {
-        self.lists.retain(|_, list| {
+        for t in self.doc_tokens.remove(&doc).unwrap_or_default() {
+            let Some(list) = self.lists.get_mut(&t) else { continue };
             if let Some(g) = list.by_doc.remove(&doc) {
                 list.total -= g.postings.len();
+                for &i in &g.open {
+                    self.open.remove(&(doc, g.postings[i as usize].xid));
+                }
             }
-            !list.by_doc.is_empty()
-        });
-        self.open.retain(|(d, _), _| *d != doc);
+            if list.by_doc.is_empty() {
+                self.lists.remove(&t);
+            }
+        }
     }
 
     /// Serializes the index: a sorted token dictionary, and per token the
@@ -558,6 +519,7 @@ impl FullTextIndex {
                         .map_err(|_| Error::Corrupt("fti checkpoint: doc id overflow".into()))?,
                 );
                 let n_postings = read_varint(input)? as usize;
+                fti.doc_tokens.entry(doc).or_default().insert(token.clone());
                 let per_doc = list.by_doc.entry(doc).or_default();
                 let mut prev_from = 0u32;
                 for _ in 0..n_postings {
@@ -632,6 +594,9 @@ impl FullTextIndex {
             })
             .sum::<usize>()
             + self.open.len() * 64
+            + (self.doc_tokens.values())
+                .map(|s| 48 + s.iter().map(|t| t.len() + 32).sum::<usize>())
+                .sum::<usize>()
     }
 }
 
@@ -912,43 +877,14 @@ mod tests {
         assert_eq!(fti.list_len("only1"), 0, "token emptied by the drop vanishes");
         assert!(fti.open_tokens(d(1), x(2)).is_empty());
         assert_eq!(fti.posting_count(), 1);
-    }
-
-    #[test]
-    fn purge_below_drops_only_unreachable_history() {
-        let mut fti = FullTextIndex::new();
-        // doc 1: "w" lived in [0, 2), then again in [2, 5), then [5, OPEN);
-        // "gone" lived in [0, 3) only; "straddle" in [1, 8).
-        fti.open_posting("w", d(1), x(1), OccKind::Word, &[x(1)], v(0));
-        fti.close_posting("w", d(1), x(1), OccKind::Word, v(2));
-        fti.open_posting("w", d(1), x(1), OccKind::Word, &[x(1)], v(2));
-        fti.close_posting("w", d(1), x(1), OccKind::Word, v(5));
-        fti.open_posting("w", d(1), x(1), OccKind::Word, &[x(1)], v(5));
-        fti.open_posting("gone", d(1), x(2), OccKind::Word, &[x(1), x(2)], v(0));
-        fti.close_posting("gone", d(1), x(2), OccKind::Word, v(3));
-        fti.open_posting("straddle", d(1), x(3), OccKind::Word, &[x(1), x(3)], v(1));
-        fti.close_posting("straddle", d(1), x(3), OccKind::Word, v(8));
-        // doc 2 shares token "w" and must be untouched.
-        fti.open_posting("w", d(2), x(1), OccKind::Word, &[x(1)], v(0));
-        fti.close_posting("w", d(2), x(1), OccKind::Word, v(1));
-
-        let before = fti.posting_count();
-        // Versions below 5 were purged; version 5 is the first survivor.
-        let removed = fti.purge_below(d(1), 5);
-        assert_eq!(removed, 3, "w[0,2), w[2,5), gone[0,3)");
-        assert_eq!(fti.posting_count(), before - 3);
-        // Open posting survives and the remapped open structures still work.
-        assert_eq!(fti.lookup("w", OccKind::Word).len(), 1);
-        assert!(fti.close_posting("w", d(1), x(1), OccKind::Word, v(9)));
-        assert_eq!(fti.lookup("w", OccKind::Word).len(), 0);
-        // Ranges straddling the horizon survive; fully-purged tokens vanish.
-        assert_eq!(fti.lookup_h("straddle", OccKind::Word).len(), 1);
-        assert_eq!(fti.list_len("gone"), 0);
-        assert_eq!(fti.lookup_t("straddle", OccKind::Word, |_| Some(v(6))).len(), 1);
-        // Other documents' histories untouched.
-        assert_eq!(fti.lookup_h("w", OccKind::Word).iter().filter(|p| p.doc == d(2)).count(), 1);
-        // Idempotent.
-        assert_eq!(fti.purge_below(d(1), 5), 0);
+        assert!(fti.doc_elements(d(1)).is_empty());
+        assert_eq!(fti.doc_elements(d(2)), HashSet::from([x(1)]));
+        // Re-indexing the dropped document starts from nothing.
+        fti.open_posting("w", d(1), x(3), OccKind::Word, &[x(3)], v(2));
+        assert_eq!(fti.doc_elements(d(1)), HashSet::from([x(3)]));
+        fti.close_document(d(1), v(3));
+        assert_eq!(fti.lookup("w", OccKind::Word).len(), 1, "doc 2 still open");
+        assert!(fti.open_tokens(d(1), x(3)).is_empty());
     }
 
     #[test]

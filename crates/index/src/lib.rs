@@ -26,7 +26,8 @@
 //!   when asked for; part of the E7 ablation.
 //! * [`maint`] — index maintenance driven by completed deltas: one
 //!   [`maint::IndexSet`] keeps the FTI and the EID-time index consistent
-//!   on each document put/delete, touching only changed elements.
+//!   on each document put/delete, touching only changed elements, and a
+//!   chain replay rebuilds a document through the same steps.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,5 +39,5 @@ pub mod maint;
 pub mod persist;
 
 pub use fti::{FullTextIndex, HistoryCursor, OccKind, OpenCursor, Posting, SnapshotCursor};
-pub use maint::IndexSet;
+pub use maint::{IndexSet, IndexWriter};
 pub use persist::{DocCover, IndexCheckpoint};

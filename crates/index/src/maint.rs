@@ -19,15 +19,21 @@
 //! itself) are diffed against the element's new occurrence signature; only
 //! the difference is closed/opened.
 //!
+//! A document's postings and element lifetimes are a function of its
+//! surviving version chain. Every write goes through an [`IndexWriter`]: a
+//! live put or delete is a batch of one step, a rebuild
+//! ([`IndexWriter::reindex`]) a replay of the whole chain.
+//!
 //! The set is the paper's choice of §7.2 — index version contents — plus
 //! the §7.3.6 EID-time index, both always maintained. §7.2's other
 //! alternative, indexing the delta operations, is a read-side structure
 //! built on demand from the stored chain
 //! ([`crate::deltaindex::DeltaContentIndex::build`]).
 
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use parking_lot::RwLock;
+use parking_lot::{RwLock, RwLockWriteGuard};
 use txdb_base::obs::Registry;
 use txdb_base::{DocId, Eid, Result, Timestamp, VersionId, Xid};
 use txdb_delta::{Delta, EditOp};
@@ -74,24 +80,21 @@ impl IndexSet {
         *cur = fti;
     }
 
-    /// Drops one document from the in-memory FTI (its checkpointed image
-    /// was stale); the caller rebuilds it by full replay.
-    pub fn drop_document(&self, doc: DocId) {
-        self.fti.write().drop_document(doc);
-    }
-
     /// Serializes the in-memory FTI with the per-document covers into a
     /// checkpoint blob.
     pub fn encode_checkpoint(&self, covers: &[crate::persist::DocCover]) -> Vec<u8> {
         crate::persist::encode(covers, &self.fti.read())
     }
 
-    /// Maintains all indexes after a document put.
-    ///
-    /// * first version: `delta == None`, everything in `new_tree` opens;
-    /// * update: `delta` drives the affected set;
-    /// * resurrection (put over a tombstone): pass `resurrected = true` so
-    ///   postings closed by the deletion reopen for unchanged elements too.
+    /// The one write entry point: an [`IndexWriter`] holds the FTI write
+    /// lock until it drops, so a batch of steps (a whole chain replay) is
+    /// one critical section. A caller that also reads the store takes this
+    /// lock first (FTI → store), the order readers use.
+    pub fn write(&self) -> IndexWriter<'_> {
+        IndexWriter { fti: self.fti.write(), eid: &self.eid }
+    }
+
+    /// [`IndexWriter::on_put`] as a batch of one.
     pub fn on_put(
         &self,
         doc: DocId,
@@ -101,152 +104,66 @@ impl IndexSet {
         delta: Option<&Delta>,
         resurrected: bool,
     ) -> Result<()> {
-        match (delta, resurrected) {
-            (None, _) | (_, true) => self.reindex_all(doc, version, ts, new_tree, resurrected),
-            (Some(d), false) => self.apply_delta(doc, version, ts, new_tree, d),
-        }
+        self.write().on_put(doc, version, ts, new_tree, delta, resurrected)
     }
+}
 
-    /// Opens postings (and lifetimes) for every element of the tree. For a
-    /// resurrection, elements that already have open postings (none) or
-    /// existing lifetimes are revived rather than re-created.
-    fn reindex_all(
-        &self,
-        doc: DocId,
-        version: VersionId,
-        ts: Timestamp,
-        tree: &Tree,
-        revive: bool,
-    ) -> Result<()> {
-        let mut fti = self.fti.write();
-        for n in tree.iter() {
-            if !tree.node(n).is_element() {
-                continue;
-            }
-            let xid = tree.node(n).xid;
-            let path = tree.xid_path(n);
-            for (tok, kind) in element_signature(tree, n) {
-                fti.open_posting(&tok, doc, xid, kind, &path, version);
-            }
-            let eid = Eid::new(doc, xid);
-            if revive && self.eid.lifetime(eid)?.is_some() {
-                self.eid.on_revive(eid)?;
-            } else {
-                self.eid.on_create(eid, ts)?;
-            }
-        }
-        Ok(())
-    }
+/// A batch of index steps under one hold of the FTI write lock. A step
+/// reads an element's previous state from the FTI, never from the EID-time
+/// index: an element is alive exactly when it has an open Name posting. So
+/// a step re-applied over a state that reflects it changes nothing, and a
+/// replay writes the same lifetimes whatever the EID B-tree held before.
+pub struct IndexWriter<'a> {
+    fti: RwLockWriteGuard<'a, FullTextIndex>,
+    eid: &'a EidTimeIndex,
+}
 
-    fn apply_delta(
-        &self,
+impl IndexWriter<'_> {
+    /// Indexes a put of version `version` of `doc`: `delta` drives the
+    /// affected set. Every element is re-examined for a first version
+    /// (`delta == None`; so is a replay's first version after a purged gap)
+    /// and for a resurrection (put over a tombstone), where an element the
+    /// delta did not insert is revived (it keeps its create time).
+    pub fn on_put(
+        &mut self,
         doc: DocId,
         version: VersionId,
         ts: Timestamp,
         new_tree: &Tree,
-        delta: &Delta,
+        delta: Option<&Delta>,
+        resurrected: bool,
     ) -> Result<()> {
         let new_map = new_tree.xid_map();
-        let mut affected: Vec<Xid> = Vec::new();
-        for op in &delta.ops {
-            match op {
-                EditOp::InsertSubtree { parent, subtree, .. }
-                | EditOp::DeleteSubtree { parent, subtree, .. } => {
-                    let mut any_element = false;
-                    for n in subtree.iter() {
-                        if subtree.node(n).is_element() {
-                            affected.push(subtree.node(n).xid);
-                            any_element = true;
-                        }
-                    }
-                    // A bare text payload changes the parent's word set.
-                    if !any_element && !parent.is_none() {
-                        affected.push(*parent);
-                    }
-                }
-                EditOp::UpdateText { xid, .. } => {
-                    // Words belong to the parent element.
-                    if let Some(&n) = new_map.get(xid) {
-                        if let Some(p) = new_tree.node(n).parent() {
-                            affected.push(new_tree.node(p).xid);
-                        }
-                    }
-                }
-                EditOp::SetAttr { xid, .. } => {
-                    affected.push(*xid);
-                }
-                // A move among siblings keeps every xid-path and the
-                // parent's word set.
-                EditOp::Move { old_parent, new_parent, .. } if old_parent == new_parent => {}
-                EditOp::Move { xid, old_parent, new_parent, .. } => {
-                    if let Some(&n) = new_map.get(xid) {
-                        if new_tree.node(n).is_element() {
-                            // Paths of the whole moved subtree changed.
-                            for d in new_tree.descendants(n) {
-                                if new_tree.node(d).is_element() {
-                                    affected.push(new_tree.node(d).xid);
-                                }
-                            }
-                        } else {
-                            // Moved text: both parents' word sets changed.
-                            if !old_parent.is_none() {
-                                affected.push(*old_parent);
-                            }
-                            if !new_parent.is_none() {
-                                affected.push(*new_parent);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        // Sorted, so that postings and lifetimes are written in the same
-        // order by every run.
-        affected.sort_unstable();
-        affected.dedup();
-
-        let mut fti = self.fti.write();
+        let affected = match (delta, resurrected) {
+            (Some(d), false) => affected_elements(d, new_tree, &new_map),
+            _ => new_tree
+                .iter()
+                .filter(|&n| new_tree.node(n).is_element())
+                .map(|n| new_tree.node(n).xid)
+                .collect(),
+        };
+        // A resurrection revives whatever its delta did not insert.
+        let inserted: HashSet<Xid> = (delta.iter().filter(|_| resurrected).flat_map(|d| &d.ops))
+            .filter_map(|op| match op {
+                EditOp::InsertSubtree { subtree, .. } => Some(subtree),
+                _ => None,
+            })
+            .flat_map(|t| t.iter().map(|n| t.node(n).xid))
+            .collect();
         for xid in affected {
-            let present = new_map.get(&xid).copied();
-            match present {
-                Some(n) if new_tree.node(n).is_element() => {
-                    let desired_path = new_tree.xid_path(n);
-                    let desired: Vec<(String, OccKind)> = element_signature(new_tree, n);
-                    let current = fti.open_tokens(doc, xid);
-                    let eid = Eid::new(doc, xid);
-                    let existed = self.eid.lifetime(eid)?.is_some_and(|lt| lt.is_alive())
-                        || !current.is_empty();
-                    let path_changed = fti
-                        .open_path(doc, xid)
-                        .map(|p| p != desired_path.as_slice())
-                        .unwrap_or(false);
-                    if path_changed {
-                        for (tok, kind) in &current {
-                            fti.close_posting(tok, doc, xid, *kind, version);
-                        }
-                        for (tok, kind) in &desired {
-                            fti.open_posting(tok, doc, xid, *kind, &desired_path, version);
-                        }
-                    } else {
-                        for occ in current.iter().filter(|occ| !desired.contains(occ)) {
-                            fti.close_posting(&occ.0, doc, xid, occ.1, version);
-                        }
-                        for occ in desired.iter().filter(|occ| !current.contains(occ)) {
-                            fti.open_posting(&occ.0, doc, xid, occ.1, &desired_path, version);
-                        }
-                    }
-                    if !existed {
-                        self.eid.on_create(eid, ts)?;
-                    }
+            match new_map.get(&xid) {
+                Some(&n) if new_tree.node(n).is_element() => {
+                    let revive = resurrected && delta.is_some() && !inserted.contains(&xid);
+                    self.index_element(doc, version, ts, new_tree, n, revive)?;
                 }
+                // Element no longer present: close everything.
                 _ => {
-                    // Element no longer present: close everything.
-                    for (tok, kind) in fti.open_tokens(doc, xid) {
-                        fti.close_posting(&tok, doc, xid, kind, version);
+                    let alive = self.fti.is_alive(doc, xid);
+                    for (tok, kind) in self.fti.open_tokens(doc, xid) {
+                        self.fti.close_posting(&tok, doc, xid, kind, version);
                     }
-                    let eid = Eid::new(doc, xid);
-                    if self.eid.lifetime(eid)?.is_some_and(|lt| lt.is_alive()) {
-                        self.eid.on_delete(eid, ts)?;
+                    if alive {
+                        self.eid.on_delete(Eid::new(doc, xid), ts)?;
                     }
                 }
             }
@@ -254,37 +171,147 @@ impl IndexSet {
         Ok(())
     }
 
-    /// Shrinks the in-memory FTI after a vacuum purged `doc`'s history
-    /// below `horizon` (the first version that survived). Closed postings
-    /// that ended at or before the horizon are unreachable by any lookup
-    /// and are dropped in place — a long-lived handle sees its posting
-    /// lists shrink without a reopen. The EID-time index keeps exact
-    /// create/delete times, which a vacuum does not change. Returns the
-    /// number of postings removed.
-    pub fn on_vacuum(&self, doc: DocId, horizon: VersionId) -> usize {
-        self.fti.write().purge_below(doc, horizon.0)
+    /// Brings element `n`'s open postings to its signature in `tree` and
+    /// opens its lifetime if it was not alive (revived, or created at `ts`).
+    fn index_element(
+        &mut self,
+        doc: DocId,
+        version: VersionId,
+        ts: Timestamp,
+        tree: &Tree,
+        n: NodeId,
+        revive: bool,
+    ) -> Result<()> {
+        let xid = tree.node(n).xid;
+        let desired_path = tree.xid_path(n);
+        let desired: Vec<(String, OccKind)> = element_signature(tree, n);
+        let alive = self.fti.is_alive(doc, xid);
+        let current = self.fti.open_tokens(doc, xid);
+        let fti = &mut *self.fti;
+        let path_changed =
+            fti.open_path(doc, xid).map(|p| p != desired_path.as_slice()).unwrap_or(false);
+        if path_changed {
+            for (tok, kind) in &current {
+                fti.close_posting(tok, doc, xid, *kind, version);
+            }
+            for (tok, kind) in &desired {
+                fti.open_posting(tok, doc, xid, *kind, &desired_path, version);
+            }
+        } else {
+            for occ in current.iter().filter(|occ| !desired.contains(occ)) {
+                fti.close_posting(&occ.0, doc, xid, occ.1, version);
+            }
+            for occ in desired.iter().filter(|occ| !current.contains(occ)) {
+                fti.open_posting(&occ.0, doc, xid, occ.1, &desired_path, version);
+            }
+        }
+        match (alive, revive) {
+            (true, _) => Ok(()),
+            (false, true) => self.eid.on_revive(Eid::new(doc, xid)),
+            (false, false) => self.eid.on_create(Eid::new(doc, xid), ts),
+        }
     }
 
-    /// Maintains all indexes after a document deletion (tombstone at
-    /// `version`, time `ts`).
+    /// Indexes a document deletion (tombstone at `version`, time `ts`);
+    /// `old_tree` is the version the tombstone ends.
     pub fn on_delete(
-        &self,
+        &mut self,
         doc: DocId,
         version: VersionId,
         ts: Timestamp,
         old_tree: &Tree,
     ) -> Result<()> {
-        self.fti.write().close_document(doc, version);
         for n in old_tree.iter() {
-            if old_tree.node(n).is_element() {
-                let eid = Eid::new(doc, old_tree.node(n).xid);
-                if self.eid.lifetime(eid)?.is_some_and(|lt| lt.is_alive()) {
-                    self.eid.on_delete(eid, ts)?;
-                }
+            let xid = old_tree.node(n).xid;
+            if old_tree.node(n).is_element() && self.fti.is_alive(doc, xid) {
+                self.eid.on_delete(Eid::new(doc, xid), ts)?;
+            }
+        }
+        self.fti.close_document(doc, version);
+        Ok(())
+    }
+
+    /// Rebuilds `doc` from scratch: drops its postings, lets `replay` step
+    /// through its whole surviving chain, then deletes the lifetimes of
+    /// elements left without a posting — those of purged versions only.
+    /// Surviving elements keep their EID keys throughout. The work is
+    /// proportional to `doc`'s chain and postings, not to the index.
+    pub fn reindex(
+        &mut self,
+        doc: DocId,
+        replay: impl FnOnce(&mut Self) -> Result<()>,
+    ) -> Result<()> {
+        self.fti.drop_document(doc);
+        replay(self)?;
+        let indexed = self.fti.doc_elements(doc);
+        for (xid, _) in self.eid.doc_lifetimes(doc)? {
+            if !indexed.contains(&xid) {
+                self.eid.remove(Eid::new(doc, xid))?;
             }
         }
         Ok(())
     }
+}
+
+/// The elements whose postings a delta can change, sorted so that postings
+/// and lifetimes are written in the same order by every run.
+fn affected_elements(delta: &Delta, new_tree: &Tree, new_map: &HashMap<Xid, NodeId>) -> Vec<Xid> {
+    let mut affected: Vec<Xid> = Vec::new();
+    for op in &delta.ops {
+        match op {
+            EditOp::InsertSubtree { parent, subtree, .. }
+            | EditOp::DeleteSubtree { parent, subtree, .. } => {
+                let mut any_element = false;
+                for n in subtree.iter() {
+                    if subtree.node(n).is_element() {
+                        affected.push(subtree.node(n).xid);
+                        any_element = true;
+                    }
+                }
+                // A bare text payload changes the parent's word set.
+                if !any_element && !parent.is_none() {
+                    affected.push(*parent);
+                }
+            }
+            EditOp::UpdateText { xid, .. } => {
+                // Words belong to the parent element.
+                if let Some(&n) = new_map.get(xid) {
+                    if let Some(p) = new_tree.node(n).parent() {
+                        affected.push(new_tree.node(p).xid);
+                    }
+                }
+            }
+            EditOp::SetAttr { xid, .. } => {
+                affected.push(*xid);
+            }
+            // A move among siblings keeps every xid-path and the parent's
+            // word set.
+            EditOp::Move { old_parent, new_parent, .. } if old_parent == new_parent => {}
+            EditOp::Move { xid, old_parent, new_parent, .. } => {
+                if let Some(&n) = new_map.get(xid) {
+                    if new_tree.node(n).is_element() {
+                        // Paths of the whole moved subtree changed.
+                        for d in new_tree.descendants(n) {
+                            if new_tree.node(d).is_element() {
+                                affected.push(new_tree.node(d).xid);
+                            }
+                        }
+                    } else {
+                        // Moved text: both parents' word sets changed.
+                        if !old_parent.is_none() {
+                            affected.push(*old_parent);
+                        }
+                        if !new_parent.is_none() {
+                            affected.push(*new_parent);
+                        }
+                    }
+                }
+            }
+        }
+    }
+    affected.sort_unstable();
+    affected.dedup();
+    affected
 }
 
 /// The occurrence signature of one element: its lowercased name (Name
@@ -352,7 +379,7 @@ mod tests {
 
         fn delete(&self, name: &str, t: Timestamp) {
             if let Some(d) = self.store.delete(name, t).unwrap() {
-                self.idx.on_delete(d.doc, d.version, d.ts, &d.old_tree).unwrap();
+                self.idx.write().on_delete(d.doc, d.version, d.ts, &d.old_tree).unwrap();
             }
         }
 
@@ -446,12 +473,9 @@ mod tests {
         assert_eq!(f.idx.fti().lookup("napoli", OccKind::Word).len(), 0);
         assert_eq!(f.fti_word_at("napoli", ts(1)), 1);
         // EID lifetimes closed at deletion.
-        let eidx = f.idx.eid_index();
-        let root_xid = {
-            let t = &r.new_tree;
-            t.node(t.root().unwrap()).xid
-        };
-        let lt = eidx.lifetime(Eid::new(r.doc, root_xid)).unwrap().unwrap();
+        let root_xid = r.new_tree.node(r.new_tree.root().unwrap()).xid;
+        let lts = f.idx.eid_index().doc_lifetimes(r.doc).unwrap();
+        let lt = lts.iter().find(|(xid, _)| *xid == root_xid).unwrap().1;
         assert_eq!(lt.created, ts(1));
         assert_eq!(lt.deleted, ts(2));
     }
@@ -466,12 +490,9 @@ mod tests {
         assert_eq!(f.fti_word_at("napoli", ts(2)), 0, "gone during tombstone gap");
         assert_eq!(f.fti_word_at("napoli", ts(3)), 1);
         // Lifetime revived, original create time kept.
-        let eidx = f.idx.eid_index();
-        let root_xid = {
-            let t = &r.new_tree;
-            t.node(t.root().unwrap()).xid
-        };
-        let lt = eidx.lifetime(Eid::new(r.doc, root_xid)).unwrap().unwrap();
+        let root_xid = r.new_tree.node(r.new_tree.root().unwrap()).xid;
+        let lts = f.idx.eid_index().doc_lifetimes(r.doc).unwrap();
+        let lt = lts.iter().find(|(xid, _)| *xid == root_xid).unwrap().1;
         assert_eq!(lt.created, ts(1));
         assert!(lt.is_alive());
     }

@@ -1176,8 +1176,9 @@ impl DocumentStore {
     /// if the document does not exist.
     ///
     /// After a vacuum, temporal queries before the horizon return nothing
-    /// and `CreTime` delta traversal bottoms out at the horizon; the
-    /// EID-time index keeps exact create times.
+    /// and `CreTime` delta traversal bottoms out at the first surviving
+    /// version; `Database::vacuum` re-indexes the document from its
+    /// surviving chain, so the EID-time index answers the same.
     ///
     /// Live snapshot pins clamp the horizon: a reader pinned at `t < before`
     /// caps the effective purge horizon at `t`, so no version that pinned
@@ -1403,6 +1404,15 @@ impl DocumentStore {
             Some(e) if e.kind == VersionKind::Content => Some(e.version),
             _ => None,
         })
+    }
+
+    /// The time of the first tombstone after `ts`, if any: where every
+    /// element alive at `ts` died, even if a resurrection revived it.
+    pub fn next_tombstone(&self, doc: DocId, ts: Timestamp) -> Result<Option<Timestamp>> {
+        let _g = self.sync.read();
+        let entries = &self.meta_arc(doc)?.1.entries;
+        let after = entries.partition_point(|e| e.ts <= ts);
+        Ok(entries[after..].iter().find(|e| e.kind == VersionKind::Tombstone).map(|e| e.ts))
     }
 
     /// The validity interval of version `v`: `[ts_v, ts_of_next_entry)`,

@@ -98,6 +98,17 @@ concurrency_stress() {
 }
 run_phase "concurrency stress + differential" concurrency_stress
 
+# One maintenance path: over 1500 generated histories of puts, deletes,
+# vacuums and checkpoints (`cargo test` runs 10), a live handle, a
+# checkpoint-loaded reopen and a full replay give the same postings and
+# element lifetimes, and CREATETIME/DELETETIME agree by index and by
+# delta traversal for every element of every surviving version.
+index_equivalence() {
+    cargo test -q --offline -p temporal-xml --test props \
+        checkpoint_load_equals_full_replay_1500 -- --ignored
+}
+run_phase "index equivalence (1500 cases)" index_equivalence
+
 # Server: boot `txdb serve` on an ephemeral port with stdin held open
 # (stdin EOF is the host-side drain trigger), drive one scripted wire
 # session end to end — PUT, temporal QUERY, EXPLAIN ANALYZE, PIN/UNPIN,

@@ -12,10 +12,12 @@
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use temporal_xml::core::ops::lifetime::LifetimeStrategy::{Index, Traverse};
+use temporal_xml::index::OccKind;
 use temporal_xml::storage::repo::VersionKind;
 use temporal_xml::storage::{DocumentStore, SnapshotPin, SnapshotRegistry};
 use temporal_xml::xml::serialize::to_string;
-use temporal_xml::{Database, DbOptions, QueryExt, QueryRequest, Timestamp, VersionId};
+use temporal_xml::{Database, DbOptions, Eid, QueryExt, QueryRequest, Timestamp, VersionId};
 
 fn ts(n: u64) -> Timestamp {
     Timestamp::from_secs(1_000_000 + n)
@@ -209,6 +211,13 @@ fn writers_readers_and_vacuum_race_safely() {
                         // reader-lock section): success must be exact.
                         Ok(tree) => {
                             assert_eq!(to_string(&tree), format!("<a><v>{}</v></a>", e.version.0));
+                            // A vacuum re-indexing the document never
+                            // loses a surviving element's lifetime, and
+                            // the pinned version survives every vacuum,
+                            // so the root was created by its time.
+                            let root = Eid::new(doc, tree.node(tree.root().unwrap()).xid);
+                            let created = db.cre_time(root.at(e.ts), Index).unwrap();
+                            assert!(created <= e.ts, "root created {created} after {}", e.ts);
                             good.fetch_add(1, Ordering::Relaxed);
                         }
                         // The vacuum clamped its horizon before this pin
@@ -225,13 +234,56 @@ fn writers_readers_and_vacuum_race_safely() {
         good_reads.load(Ordering::Relaxed) > 0,
         "stress must complete at least one pinned read"
     );
-    // Quiesced: every surviving version reconstructs.
+    // Quiesced: every surviving version reconstructs, and both §7.3.6
+    // strategies agree on the root.
     let doc = db.store().doc_id("hot").unwrap().unwrap();
     for e in db.store().versions(doc).unwrap() {
         if e.kind == VersionKind::Content {
             let tree = db.store().version_tree(doc, e.version).unwrap();
             assert_eq!(to_string(&tree), format!("<a><v>{}</v></a>", e.version.0));
         }
+    }
+    let cur = db.store().current_tree(doc).unwrap();
+    let root = Eid::new(doc, cur.node(cur.root().unwrap()).xid).at(ts(VERSIONS));
+    assert_eq!(db.cre_time(root, Index).unwrap(), db.cre_time(root, Traverse).unwrap());
+}
+
+/// The put-vs-vacuum race, made deterministic: the store takes a put, a
+/// vacuum re-indexes the document from a chain that already holds it, and
+/// only then does the put's own index step land. That step must change
+/// nothing — for an update and for a resurrection alike.
+#[test]
+fn a_put_indexed_after_a_vacuum_reindex_changes_nothing() {
+    let answers = |db: &Database, doc| {
+        let fti = db.indexes().fti();
+        let mut postings: Vec<String> = ["log", "n", "m", "x", "0", "1", "2", "5", "6", "9"]
+            .iter()
+            .flat_map(|w| [OccKind::Name, OccKind::Word].map(|k| (w, k)))
+            .flat_map(|(w, k)| fti.lookup_h(w, k).into_iter().map(|p| format!("{p:?}")))
+            .collect();
+        postings.sort();
+        (postings, db.indexes().eid_index().doc_lifetimes(doc).unwrap())
+    };
+    for resurrect in [false, true] {
+        let db = Database::in_memory();
+        for i in 0..6u64 {
+            let x = if i % 2 == 0 { "<x/>" } else { "" };
+            db.put("d", &format!("<log><n>{i}</n><m>{}</m>{x}</log>", i / 2), ts(i)).unwrap();
+        }
+        if resurrect {
+            db.delete("d", ts(6)).unwrap();
+        }
+        let r = db.store().put("d", "<log><n>6</n><m>9</m></log>", ts(7)).unwrap();
+        assert_eq!(r.resurrected, resurrect);
+        let stats = db.vacuum("d", ts(3)).unwrap().unwrap();
+        assert!(stats.purged_versions > 0);
+        let covered = answers(&db, r.doc);
+        db.indexes()
+            .on_put(r.doc, r.version, r.ts, &r.new_tree, r.delta.as_ref(), r.resurrected)
+            .unwrap();
+        assert_eq!(answers(&db, r.doc), covered, "resurrect = {resurrect}");
+        db.reindex(r.doc).unwrap();
+        assert_eq!(answers(&db, r.doc), covered, "resurrect = {resurrect}");
     }
 }
 

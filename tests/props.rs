@@ -588,123 +588,233 @@ fn ckpt_op_strategy() -> impl Strategy<Value = CkptOp> {
     ]
 }
 
+/// Loading a persisted index checkpoint must be invisible, and so must the
+/// path that built the index state: after an arbitrary interleaving of
+/// puts, deletes, vacuums and mid-run checkpoints, the store's live handle
+/// (gathered before it is dropped), a reopen that loads the checkpoint and a
+/// full-replay reference all give the same [`index_answers`]. The reference
+/// is a second store fed the same ops minus the checkpoints and dropped
+/// without `close()`, so its open finds no index blob at all. Half the cases
+/// drop the checkpointed store without `close()` too, so its open loads the
+/// last mid-run checkpoint and replays the WAL tail above it.
+fn checkpoint_load_equals_full_replay_case(ops: &[CkptOp], close: bool) -> TestCaseResult {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use temporal_xml::storage::IndexCheckpointState;
+    use temporal_xml::DbOptions;
+
+    static CASE: AtomicUsize = AtomicUsize::new(0);
+    let case = CASE.fetch_add(1, Ordering::Relaxed);
+    let dir_for = |kind: &str| {
+        let dir = std::env::temp_dir()
+            .join(format!("txdb-props-ckpt-{kind}-{}-{case}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    };
+    let (dir, reference_dir) = (dir_for("loaded"), dir_for("replayed"));
+
+    let name = |d: usize| format!("doc{d}");
+    let mut times = Vec::new();
+    let mut live = Vec::new();
+    for (checkpointed, dir) in [(true, &dir), (false, &reference_dir)] {
+        let db = DbOptions::at(dir).open().unwrap();
+        for (step, op) in ops.iter().enumerate() {
+            let now = Timestamp::from_secs(10 + step as u64);
+            match op {
+                CkptOp::Put(d, spec) => {
+                    let xml = to_string(&tree_from(spec));
+                    if db.put(&name(*d), &xml, now).unwrap().changed && checkpointed {
+                        times.push(now);
+                    }
+                }
+                CkptOp::Delete(d) => {
+                    if db.delete(&name(*d), now).unwrap().is_some() && checkpointed {
+                        times.push(now);
+                    }
+                }
+                CkptOp::Vacuum(d, f) => {
+                    let horizon = Timestamp::from_secs(10 + step as u64 * u64::from(*f) / 4);
+                    let _ = db.vacuum(&name(*d), horizon).unwrap();
+                }
+                CkptOp::Checkpoint if checkpointed => db.checkpoint().unwrap(),
+                CkptOp::Checkpoint => {}
+            }
+        }
+        if checkpointed {
+            live = index_answers(&db, &times)?;
+            if close {
+                db.close().unwrap();
+            }
+        }
+    }
+
+    // Gather every answer from the checkpoint-loaded handle first, then
+    // from the full-replay reference, and compare all three.
+    let reopened = |dir: &std::path::Path| {
+        let db = DbOptions::at(dir).open().unwrap();
+        let report = db.recovery_report().index_checkpoint.clone();
+        index_answers(&db, &times).map(|answers| (report, answers))
+    };
+    let (loaded_report, loaded) = reopened(&dir)?;
+    let (replayed_report, replayed) = reopened(&reference_dir)?;
+    let checkpointed = close || ops.iter().any(|op| matches!(op, CkptOp::Checkpoint));
+    prop_assert_eq!(
+        loaded_report.state,
+        if checkpointed { IndexCheckpointState::Loaded } else { IndexCheckpointState::Absent },
+        "every checkpoint must leave a loadable blob (note: {:?})",
+        loaded_report.note
+    );
+    prop_assert_eq!(replayed_report.state, IndexCheckpointState::Absent);
+    prop_assert_eq!(live.len(), replayed.len());
+    prop_assert_eq!(loaded.len(), replayed.len());
+    for (((la, lv), (ca, cv)), (ra, rv)) in live.iter().zip(&loaded).zip(&replayed) {
+        prop_assert_eq!(la, ra);
+        prop_assert_eq!(ca, ra);
+        prop_assert_eq!(lv, rv, "live and replayed answers differ for {}", la);
+        prop_assert_eq!(cv, rv, "checkpoint-loaded and replayed answers differ for {}", la);
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::remove_dir_all(&reference_dir).unwrap();
+    Ok(())
+}
+
+/// What a store's indexes answer, labelled: `lookup`, `lookup_h` and
+/// `lookup_t` at every write time for the probe words, every document's
+/// element lifetimes, and `CREATETIME`/`DELETETIME` of every element of
+/// every surviving content version — which must be the same by the
+/// EID-time index as by delta traversal.
+fn index_answers(
+    db: &Database,
+    times: &[Timestamp],
+) -> Result<Vec<(String, Vec<String>)>, TestCaseError> {
+    use temporal_xml::core::ops::lifetime::LifetimeStrategy::{Index, Traverse};
+    use temporal_xml::storage::repo::VersionKind;
+    use temporal_xml::Eid;
+
+    let words = ["red", "blue", "15", "hello", "zz", "item", "name"];
+    let norm = |mut v: Vec<String>| {
+        v.sort();
+        v
+    };
+    let mut out: Vec<(String, Vec<String>)> = Vec::new();
+    let fti = db.indexes().fti();
+    for w in words {
+        for kind in [OccKind::Word, OccKind::Name] {
+            let cur = fti.lookup(w, kind).iter().map(|p| format!("{p:?}")).collect();
+            out.push((format!("lookup {w} {kind:?}"), norm(cur)));
+            let hist = fti.lookup_h(w, kind).iter().map(|p| format!("{p:?}")).collect();
+            out.push((format!("lookup_h {w} {kind:?}"), norm(hist)));
+            for &t in times {
+                let at = fti
+                    .lookup_t(w, kind, |d| db.store().version_at(d, t).unwrap())
+                    .iter()
+                    .map(|p| format!("{p:?}"))
+                    .collect();
+                out.push((format!("lookup_t {w} {kind:?} @{}", t.micros()), norm(at)));
+            }
+        }
+    }
+    drop(fti);
+    for (doc, name) in db.store().list().unwrap() {
+        let lifetimes = db.indexes().eid_index().doc_lifetimes(doc).unwrap();
+        out.push((
+            format!("lifetimes {name}"),
+            lifetimes.iter().map(|l| format!("{l:?}")).collect(),
+        ));
+        for e in db.store().versions(doc).unwrap() {
+            if e.kind != VersionKind::Content {
+                continue;
+            }
+            let tree = db.store().version_tree(doc, e.version).unwrap();
+            for n in tree.iter().filter(|&n| tree.node(n).is_element()) {
+                let teid = Eid::new(doc, tree.node(n).xid).at(e.ts);
+                let cre = format!("{:?}", db.cre_time(teid, Index));
+                prop_assert_eq!(
+                    &cre,
+                    &format!("{:?}", db.cre_time(teid, Traverse)),
+                    "CREATETIME {:?}",
+                    teid
+                );
+                let del = format!("{:?}", db.del_time(teid, Index));
+                prop_assert_eq!(
+                    &del,
+                    &format!("{:?}", db.del_time(teid, Traverse)),
+                    "DELETETIME {:?}",
+                    teid
+                );
+            }
+        }
+    }
+    Ok(out)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 10, ..ProptestConfig::default() })]
 
-    /// Loading a persisted index checkpoint must be invisible: after an
-    /// arbitrary interleaving of puts, deletes, vacuums and mid-run
-    /// checkpoints, a reopen that loads the checkpoint answers `lookup`,
-    /// `lookup_t` and `lookup_h` for every probe word at every write
-    /// timestamp exactly as a full-replay reference does: a second store
-    /// fed the same ops minus the checkpoints and dropped without
-    /// `close()`, so its open finds no index blob at all. Half the cases
-    /// drop the checkpointed store without `close()` too, so its open
-    /// loads the last mid-run checkpoint and replays the WAL tail above it.
+    /// [`checkpoint_load_equals_full_replay_case`], the shipped 10 cases.
     #[test]
     fn checkpoint_load_equals_full_replay(
         ops in prop::collection::vec(ckpt_op_strategy(), 1..20),
         close in any::<bool>(),
     ) {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use temporal_xml::storage::IndexCheckpointState;
-        use temporal_xml::DbOptions;
-
-        static CASE: AtomicUsize = AtomicUsize::new(0);
-        let case = CASE.fetch_add(1, Ordering::Relaxed);
-        let dir_for = |kind: &str| {
-            let dir = std::env::temp_dir()
-                .join(format!("txdb-props-ckpt-{kind}-{}-{case}", std::process::id()));
-            let _ = std::fs::remove_dir_all(&dir);
-            dir
-        };
-        let (dir, reference_dir) = (dir_for("loaded"), dir_for("replayed"));
-
-        let name = |d: usize| format!("doc{d}");
-        let mut times = Vec::new();
-        for (checkpointed, dir) in [(true, &dir), (false, &reference_dir)] {
-            let db = DbOptions::at(dir).open().unwrap();
-            for (step, op) in ops.iter().enumerate() {
-                let now = Timestamp::from_secs(10 + step as u64);
-                match op {
-                    CkptOp::Put(d, spec) => {
-                        let xml = to_string(&tree_from(spec));
-                        if db.put(&name(*d), &xml, now).unwrap().changed && checkpointed {
-                            times.push(now);
-                        }
-                    }
-                    CkptOp::Delete(d) => {
-                        if db.delete(&name(*d), now).unwrap().is_some() && checkpointed {
-                            times.push(now);
-                        }
-                    }
-                    CkptOp::Vacuum(d, f) => {
-                        let horizon =
-                            Timestamp::from_secs(10 + step as u64 * u64::from(*f) / 4);
-                        let _ = db.vacuum(&name(*d), horizon).unwrap();
-                    }
-                    CkptOp::Checkpoint if checkpointed => db.checkpoint().unwrap(),
-                    CkptOp::Checkpoint => {}
-                }
-            }
-            if checkpointed && close {
-                db.close().unwrap();
-            }
-        }
-
-        // Gather every answer from the checkpoint-loaded handle first,
-        // then from the full-replay reference, and compare.
-        let words = ["red", "blue", "15", "hello", "zz", "item", "name"];
-        let answers = |dir: &std::path::Path| {
-            let db = DbOptions::at(dir).open().unwrap();
-            let report = db.recovery_report().index_checkpoint.clone();
-            let fti = db.indexes().fti();
-            let mut out: Vec<(String, Vec<String>)> = Vec::new();
-            let norm = |mut v: Vec<String>| {
-                v.sort();
-                v
-            };
-            for w in words {
-                for kind in [OccKind::Word, OccKind::Name] {
-                    let cur = fti.lookup(w, kind).iter().map(|p| format!("{p:?}")).collect();
-                    out.push((format!("lookup {w} {kind:?}"), norm(cur)));
-                    let hist = fti.lookup_h(w, kind).iter().map(|p| format!("{p:?}")).collect();
-                    out.push((format!("lookup_h {w} {kind:?}"), norm(hist)));
-                    for &t in &times {
-                        let at = fti
-                            .lookup_t(w, kind, |d| db.store().version_at(d, t).unwrap())
-                            .iter()
-                            .map(|p| format!("{p:?}"))
-                            .collect();
-                        out.push((format!("lookup_t {w} {kind:?} @{}", t.micros()), norm(at)));
-                    }
-                }
-            }
-            (report, out)
-        };
-        let (loaded_report, loaded) = answers(&dir);
-        let (replayed_report, replayed) = answers(&reference_dir);
-        let checkpointed = close || ops.iter().any(|op| matches!(op, CkptOp::Checkpoint));
-        prop_assert_eq!(
-            loaded_report.state,
-            if checkpointed { IndexCheckpointState::Loaded } else { IndexCheckpointState::Absent },
-            "every checkpoint must leave a loadable blob (note: {:?})",
-            loaded_report.note
-        );
-        prop_assert_eq!(replayed_report.state, IndexCheckpointState::Absent);
-        for ((la, lv), (ra, rv)) in loaded.iter().zip(&replayed) {
-            prop_assert_eq!(la, ra);
-            prop_assert_eq!(lv, rv, "checkpoint-loaded and replayed answers differ for {}", la);
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
-        std::fs::remove_dir_all(&reference_dir).unwrap();
+        checkpoint_load_equals_full_replay_case(&ops, close)?;
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 1500, ..ProptestConfig::default() })]
+
+    /// [`checkpoint_load_equals_full_replay_case`] at 1500 cases;
+    /// `scripts/check.sh` runs it with `--ignored`.
+    #[test]
+    #[ignore]
+    fn checkpoint_load_equals_full_replay_1500(
+        ops in prop::collection::vec(ckpt_op_strategy(), 1..20),
+        close in any::<bool>(),
+    ) {
+        checkpoint_load_equals_full_replay_case(&ops, close)?;
+    }
+}
+
+/// The live handle's two §7.3.6 strategies agree after a vacuum purges an
+/// element's creation version: both answer the first surviving version's
+/// time, as a reopen without an index blob does.
+#[test]
+fn prefix_vacuum_keeps_createtime_strategies_equal() {
+    use temporal_xml::core::ops::lifetime::LifetimeStrategy::{Index, Traverse};
+    use temporal_xml::{DbOptions, Eid};
+    let dir = std::env::temp_dir().join(format!("txdb-props-cretime-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let secs = Timestamp::from_secs;
+    let a = {
+        let db = DbOptions::at(&dir).open().unwrap();
+        let doc = db.put("g", "<g><a/></g>", secs(10)).unwrap().doc;
+        db.put("g", "<g><a/><b/></g>", secs(20)).unwrap();
+        db.put("g", "<g><a>x</a><b/></g>", secs(30)).unwrap();
+        let stats = db.vacuum("g", secs(25)).unwrap().unwrap();
+        assert_eq!(stats.purged_versions, 1);
+        let cur = db.store().current_tree(doc).unwrap();
+        let a = cur.iter().find(|&n| cur.node(n).name() == Some("a")).unwrap();
+        let a = Eid::new(doc, cur.node(a).xid).at(secs(30));
+        assert_eq!(db.cre_time(a, Index).unwrap(), secs(20), "live, index");
+        assert_eq!(db.cre_time(a, Traverse).unwrap(), secs(20), "live, traversal");
+        a
+        // Dropped without close(): the reopen finds no index blob.
+    };
+    let db = DbOptions::at(&dir).open().unwrap();
+    assert_eq!(
+        db.recovery_report().index_checkpoint.state,
+        temporal_xml::storage::IndexCheckpointState::Absent
+    );
+    assert_eq!(db.cre_time(a, Index).unwrap(), secs(20), "reopened, index");
+    drop(db);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// Case 555 of `checkpoint_load_equals_full_replay` at 1500 cases, shrunk.
 /// A vacuum purges the first version while the `<name>` element lives on
 /// into the second; a later put closes its posting. Replaying the vacuumed
 /// chain indexes the first surviving version from scratch, so the posting
-/// starts there. The live handle's purge must leave the same posting, or
+/// starts there. The live handle's vacuum must leave the same posting, or
 /// `lookup_h` answers differently after a reopen. `[EVERY]` answers agree
 /// either way: the scan expands postings over content versions only, and
 /// the purged version is not one.
