@@ -120,13 +120,6 @@ impl Client {
         Ok(Client { reader, writer: stream, max_response_bytes: 16 << 20 })
     }
 
-    /// Sends one raw line and returns the next raw response line —
-    /// the escape hatch for tests that need to speak broken protocol.
-    pub fn raw_roundtrip(&mut self, line: &str) -> ClientResult<String> {
-        self.send_line(line)?;
-        self.read_line()
-    }
-
     fn send_line(&mut self, line: &str) -> ClientResult<()> {
         self.writer.write_all(line.as_bytes())?;
         self.writer.write_all(b"\n")?;

@@ -4,6 +4,5 @@
 pub mod diffop;
 pub mod history;
 pub mod lifetime;
-pub mod parallel;
 pub mod pattern;
 pub mod versions;

@@ -46,18 +46,6 @@ pub struct Match {
     pub nodes: Vec<Eid>,
 }
 
-impl Match {
-    /// The TEIDs of the bound elements (§3.2: EID + timestamp).
-    pub fn teids(&self) -> Vec<txdb_base::Teid> {
-        self.nodes.iter().map(|e| e.at(self.ts)).collect()
-    }
-
-    /// TEIDs of only the projected pattern nodes.
-    pub fn projected_teids(&self, pattern: &PatternTree) -> Vec<txdb_base::Teid> {
-        pattern.projected().into_iter().map(|i| self.nodes[i].at(self.ts)).collect()
-    }
-}
-
 /// Cost counters for a scan (experiment metrics).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ScanStats {
@@ -67,27 +55,6 @@ pub struct ScanStats {
     pub postings: usize,
     /// Matches produced.
     pub matches: usize,
-}
-
-/// A candidate element for one pattern node, with the version range over
-/// which all the node's tokens co-exist on the element. Paths are borrowed
-/// from the postings (the FTI read guard outlives the scan).
-#[derive(Clone, Copy, Debug)]
-struct Cand<'a> {
-    xid: Xid,
-    path: &'a [Xid],
-    from: u32,
-    to: u32,
-}
-
-/// One document's share of the step-2 join, self-contained so it can run
-/// on a pool worker: candidate slices per pattern node, the decoded delta
-/// index, and (snapshot mode) the resolved target version.
-struct DocJob<'c, 'p> {
-    doc: DocId,
-    per_node: Vec<&'c [Cand<'p>]>,
-    entries: Vec<txdb_storage::repo::VersionEntry>,
-    resolved: Option<VersionId>,
 }
 
 /// Flattened pattern: pre-order nodes with parent links.
@@ -142,16 +109,7 @@ impl Database {
     /// `PatternScan(Δ, pattern)` — matches in the *current* versions of all
     /// undeleted documents (the non-temporal baseline operator of \[2\]).
     pub fn pattern_scan(&self, docs: Option<DocId>, pattern: &PatternTree) -> Result<Vec<Match>> {
-        Ok(self.scan(docs, pattern, Mode::Current)?.0)
-    }
-
-    /// `PatternScan` with cost counters.
-    pub fn pattern_scan_counted(
-        &self,
-        docs: Option<DocId>,
-        pattern: &PatternTree,
-    ) -> Result<(Vec<Match>, ScanStats)> {
-        self.scan(docs, pattern, Mode::Current)
+        Ok(self.drain(docs, pattern, Mode::Current)?.0)
     }
 
     /// `TPatternScan(Δ, pattern, t)` — matches in the snapshot valid at
@@ -163,7 +121,7 @@ impl Database {
         pattern: &PatternTree,
         t: Timestamp,
     ) -> Result<Vec<Match>> {
-        Ok(self.scan(docs, pattern, Mode::At(t))?.0)
+        Ok(self.drain(docs, pattern, Mode::At(t))?.0)
     }
 
     /// `TPatternScan` with cost counters.
@@ -173,7 +131,7 @@ impl Database {
         pattern: &PatternTree,
         t: Timestamp,
     ) -> Result<(Vec<Match>, ScanStats)> {
-        self.scan(docs, pattern, Mode::At(t))
+        self.drain(docs, pattern, Mode::At(t))
     }
 
     /// `TPatternScanAll(Δ, pattern)` — matches across *all* versions
@@ -185,7 +143,7 @@ impl Database {
         docs: Option<DocId>,
         pattern: &PatternTree,
     ) -> Result<Vec<Match>> {
-        Ok(self.scan(docs, pattern, Mode::All(txdb_base::Interval::ALL))?.0)
+        Ok(self.drain(docs, pattern, Mode::All(txdb_base::Interval::ALL))?.0)
     }
 
     /// `TPatternScanAll` restricted to versions committed within
@@ -198,26 +156,7 @@ impl Database {
         pattern: &PatternTree,
         interval: txdb_base::Interval,
     ) -> Result<Vec<Match>> {
-        Ok(self.scan(docs, pattern, Mode::All(interval))?.0)
-    }
-
-    /// `TPatternScanAll` with cost counters.
-    pub fn tpattern_scan_all_counted(
-        &self,
-        docs: Option<DocId>,
-        pattern: &PatternTree,
-    ) -> Result<(Vec<Match>, ScanStats)> {
-        self.scan(docs, pattern, Mode::All(txdb_base::Interval::ALL))
-    }
-
-    /// [`Database::tpattern_scan_all_between`] with cost counters.
-    pub fn tpattern_scan_all_between_counted(
-        &self,
-        docs: Option<DocId>,
-        pattern: &PatternTree,
-        interval: txdb_base::Interval,
-    ) -> Result<(Vec<Match>, ScanStats)> {
-        self.scan(docs, pattern, Mode::All(interval))
+        Ok(self.drain(docs, pattern, Mode::All(interval))?.0)
     }
 
     /// Streaming [`Database::pattern_scan`]: a [`MatchCursor`] that pulls
@@ -250,124 +189,40 @@ impl Database {
         MatchCursor::new(self, docs, pattern, Mode::All(interval))
     }
 
-    fn scan(
+    /// The eager scans are a consumer of the one cursor: drain it, in its
+    /// `(doc, version, bound XIDs)` order.
+    fn drain(
         &self,
         docs: Option<DocId>,
         pattern: &PatternTree,
         mode: Mode,
     ) -> Result<(Vec<Match>, ScanStats)> {
-        let flat = FlatPattern::new(pattern);
-        let mut stats = ScanStats::default();
-
-        let fti = self.indexes().fti();
-        let mut set = collect_candidates(self, &fti, &flat, docs, mode, &mut stats)?;
-        let doc_set = set.doc_set();
-        let cands = std::mem::take(&mut set.cands);
-
-        // Per-document join inputs are materialized up front (delta-index
-        // rows, snapshot resolution) so the join itself shares nothing
-        // mutable — each document then joins on a pool worker.
-        let mut jobs: Vec<DocJob<'_, '_>> = Vec::with_capacity(doc_set.len());
-        for doc in doc_set {
-            let per_node: Vec<&[Cand<'_>]> = cands.iter().map(|m| m[&doc].as_slice()).collect();
-            let resolved = match &mode {
-                Mode::At(t) => set.resolve(self, doc, *t),
-                _ => None,
-            };
-            jobs.push(DocJob { doc, per_node, entries: self.store().versions(doc)?, resolved });
-        }
-        let per_doc = super::parallel::parallel_map(&jobs, |job| -> Result<Vec<Match>> {
-            let mut local = Vec::new();
-            let mut binding: Vec<&Cand<'_>> = Vec::with_capacity(flat.nodes.len());
-            let doc = job.doc;
-            join_rec(&flat, &job.per_node, doc, &mut binding, &mut |b| {
-                // Joint validity range of the whole binding.
-                let from = b.iter().map(|c| c.from).max().unwrap_or(0);
-                let to = b.iter().map(|c| c.to).min().unwrap_or(OPEN);
-                if from >= to {
-                    return Ok(());
-                }
-                let nodes: Vec<Eid> = b.iter().map(|c| Eid::new(doc, c.xid)).collect();
-                match &mode {
-                    Mode::Current => {
-                        // The binding is valid now; report the current
-                        // content version.
-                        if let Some(e) =
-                            job.entries.iter().rev().find(|e| e.kind == VersionKind::Content)
-                        {
-                            local.push(Match { doc, version: e.version, ts: e.ts, nodes });
-                        }
-                        Ok(())
-                    }
-                    Mode::At(_) => {
-                        let Some(v) = job.resolved else { return Ok(()) };
-                        debug_assert!(from <= v.0 && v.0 < to);
-                        let e = &job.entries[v.0 as usize];
-                        local.push(Match { doc, version: v, ts: e.ts, nodes });
-                        Ok(())
-                    }
-                    Mode::All(interval) => {
-                        // Expand the joint range to content versions — the
-                        // temporal join's "valid at same time" — keeping
-                        // only versions committed inside the requested
-                        // interval (§8 rewriting).
-                        for e in job.entries.iter() {
-                            if e.kind != VersionKind::Content {
-                                continue;
-                            }
-                            if !interval.contains(e.ts) {
-                                continue;
-                            }
-                            if e.version.0 >= from && e.version.0 < to {
-                                local.push(Match {
-                                    doc,
-                                    version: e.version,
-                                    ts: e.ts,
-                                    nodes: nodes.clone(),
-                                });
-                            }
-                        }
-                        Ok(())
-                    }
-                }
-            })?;
-            Ok(local)
-        });
+        let mut cursor = MatchCursor::new(self, docs, pattern, mode)?;
         let mut out = Vec::new();
-        for r in per_doc {
-            out.extend(r?);
+        while let Some(m) = cursor.try_next()? {
+            out.push(m);
         }
-        // Deterministic output order: doc, version, then bound xids —
-        // independent of how documents were distributed over workers.
-        out.sort_by(|a, b| (a.doc, a.version, &a.nodes).cmp(&(b.doc, b.version, &b.nodes)));
-        stats.matches = out.len();
-        Ok((out, stats))
+        Ok((out, cursor.stats()))
     }
 }
 
-/// Step-1 output: per-pattern-node candidate elements grouped by document,
-/// plus the snapshot-version resolutions cached along the way.
-struct CandidateSet<'g> {
-    cands: Vec<HashMap<DocId, Vec<Cand<'g>>>>,
+/// A candidate element for one pattern node, with the version range over
+/// which all the node's tokens co-exist on the element. Cloned out of the
+/// postings so a long-lived cursor never holds the FTI read guard (which
+/// would block index maintenance for the cursor's whole lifetime).
+struct OwnedCand {
+    xid: Xid,
+    path: Box<[Xid]>,
+    from: u32,
+    to: u32,
+}
+
+/// Step-1 output: the documents that hold candidates for *every* pattern
+/// node, ascending, each with its candidates per node, plus the
+/// snapshot-version resolutions made along the way.
+struct Candidates {
+    docs: Vec<(DocId, Vec<Vec<OwnedCand>>)>,
     version_cache: HashMap<DocId, Option<VersionId>>,
-}
-
-impl<'g> CandidateSet<'g> {
-    /// Documents holding candidates for *every* pattern node, ascending.
-    fn doc_set(&self) -> Vec<DocId> {
-        let Some(first) = self.cands.first() else { return Vec::new() };
-        let mut docs: Vec<DocId> = first.keys().copied().collect();
-        docs.retain(|d| self.cands.iter().all(|m| m.contains_key(d)));
-        docs.sort();
-        docs
-    }
-
-    fn resolve(&mut self, db: &Database, doc: DocId, t: Timestamp) -> Option<VersionId> {
-        *self
-            .version_cache
-            .entry(doc)
-            .or_insert_with(|| db.store().version_at(doc, t).unwrap_or(None))
-    }
 }
 
 /// Step 1 of the scan algorithm: per-node candidates = same-element
@@ -375,16 +230,25 @@ impl<'g> CandidateSet<'g> {
 /// most-selective first (shortest posting list), and each processed node
 /// restricts the documents later lookups touch — the join is per-document,
 /// so documents absent from any node's candidates can never match.
-/// Postings are pulled lazily off the FTI cursors; the intersection never
-/// materializes a posting `Vec` per token.
-fn collect_candidates<'g>(
+/// Postings are pulled lazily off the FTI cursors under its read guard;
+/// the intersection borrows their paths and clones only the candidates of
+/// the documents that survive every node.
+fn collect_candidates(
     db: &Database,
-    fti: &'g txdb_index::FullTextIndex,
     flat: &FlatPattern<'_>,
     docs: Option<DocId>,
     mode: Mode,
     stats: &mut ScanStats,
-) -> Result<CandidateSet<'g>> {
+) -> Result<Candidates> {
+    /// [`OwnedCand`] with its path borrowed from the posting.
+    #[derive(Clone, Copy)]
+    struct Cand<'a> {
+        xid: Xid,
+        path: &'a [Xid],
+        from: u32,
+        to: u32,
+    }
+
     for i in 0..flat.nodes.len() {
         if flat.tokens(i).is_empty() {
             return Err(Error::Unsupported(
@@ -394,7 +258,9 @@ fn collect_candidates<'g>(
     }
 
     // Per-document version resolution for the snapshot mode is cached
-    // across all lookups of this scan.
+    // across all lookups of this scan. It reads the store under the FTI
+    // guard (lock order FTI → `store.sync`).
+    let fti = db.indexes().fti();
     let mut version_cache: HashMap<DocId, Option<VersionId>> = HashMap::new();
     let mut resolve = |doc: DocId, t: Timestamp| -> Option<VersionId> {
         *version_cache.entry(doc).or_insert_with(|| db.store().version_at(doc, t).unwrap_or(None))
@@ -406,16 +272,16 @@ fn collect_candidates<'g>(
     });
     let mut allowed: Option<std::collections::HashSet<DocId>> =
         docs.map(|d| std::collections::HashSet::from([d]));
-    let mut cands: Vec<HashMap<DocId, Vec<Cand<'g>>>> =
+    let mut borrowed: Vec<HashMap<DocId, Vec<Cand<'_>>>> =
         (0..flat.nodes.len()).map(|_| HashMap::new()).collect();
     for &i in &order {
         // Within the node, start from the rarest token too.
         let mut tokens = flat.tokens(i);
         tokens.sort_by_key(|(t, _)| fti.list_len(t));
-        let mut per_elem: HashMap<(DocId, Xid), Vec<Cand<'g>>> = HashMap::new();
+        let mut per_elem: HashMap<(DocId, Xid), Vec<Cand<'_>>> = HashMap::new();
         for (tok_idx, (tok, kind)) in tokens.iter().enumerate() {
             stats.fti_lookups += 1;
-            let postings: Box<dyn Iterator<Item = &'g Posting> + '_> = match &mode {
+            let postings: Box<dyn Iterator<Item = &Posting> + '_> = match &mode {
                 Mode::Current => Box::new(fti.open_cursor(tok, *kind, allowed.as_ref())),
                 Mode::At(t) => Box::new(fti.snapshot_cursor(tok, *kind, allowed.as_ref(), {
                     let resolve = &mut resolve;
@@ -439,7 +305,7 @@ fn collect_candidates<'g>(
                 }
             } else {
                 // Intersect ranges with the accumulated candidates.
-                let mut next: HashMap<(DocId, Xid), Vec<Cand<'g>>> = HashMap::new();
+                let mut next: HashMap<(DocId, Xid), Vec<Cand<'_>>> = HashMap::new();
                 for p in postings {
                     stats.postings += 1;
                     let Some(acc) = per_elem.get(&(p.doc, p.xid)) else { continue };
@@ -450,12 +316,7 @@ fn collect_candidates<'g>(
                             // Paths agree within an overlapping range
                             // (both postings describe the same element
                             // in the same versions).
-                            next.entry((p.doc, p.xid)).or_default().push(Cand {
-                                xid: c.xid,
-                                path: c.path,
-                                from,
-                                to,
-                            });
+                            next.entry((p.doc, p.xid)).or_default().push(Cand { from, to, ..*c });
                         }
                     }
                 }
@@ -465,27 +326,41 @@ fn collect_candidates<'g>(
                 break;
             }
         }
-        let mut by_doc: HashMap<DocId, Vec<Cand<'g>>> = HashMap::new();
+        let mut by_doc: HashMap<DocId, Vec<Cand<'_>>> = HashMap::new();
         for ((doc, _), cs) in per_elem {
             by_doc.entry(doc).or_default().extend(cs);
         }
         allowed = Some(by_doc.keys().copied().collect());
-        cands[i] = by_doc;
+        borrowed[i] = by_doc;
         if allowed.as_ref().is_some_and(|a| a.is_empty()) {
             break;
         }
     }
-    Ok(CandidateSet { cands, version_cache })
-}
 
-/// Owned form of [`Cand`]: candidate data cloned out of the postings so a
-/// long-lived cursor never holds the FTI read guard (which would block
-/// index maintenance for the cursor's whole lifetime).
-struct OwnedCand {
-    xid: Xid,
-    path: Box<[Xid]>,
-    from: u32,
-    to: u32,
+    let mut survivors: Vec<DocId> = borrowed[0].keys().copied().collect();
+    survivors.retain(|d| borrowed.iter().all(|m| m.contains_key(d)));
+    survivors.sort();
+    let docs = survivors
+        .into_iter()
+        .map(|d| {
+            let per_node = borrowed
+                .iter()
+                .map(|m| {
+                    m[&d]
+                        .iter()
+                        .map(|c| OwnedCand {
+                            xid: c.xid,
+                            path: c.path.into(),
+                            from: c.from,
+                            to: c.to,
+                        })
+                        .collect()
+                })
+                .collect();
+            (d, per_node)
+        })
+        .collect();
+    Ok(Candidates { docs, version_cache })
 }
 
 /// One complete pattern binding in one document: the bound elements in
@@ -511,8 +386,9 @@ struct DocState {
     bind_idx: usize,
 }
 
-/// Streaming pattern scan: pulls [`Match`]es one at a time in the same
-/// `(doc, version, nodes)` order the materializing scan sorts into.
+/// The one implementation of the §7.3.1–7.3.2 scans: pulls [`Match`]es
+/// one at a time in `(doc, version, bound XIDs)` order. The executor pulls
+/// it; the eager `pattern_scan`/`tpattern_scan*` operators drain it.
 ///
 /// Construction runs step 1 (the FTI candidate intersection) and clones
 /// the surviving candidates to owned storage — bounded by pattern
@@ -526,8 +402,7 @@ pub struct MatchCursor<'db> {
     pattern: PatternTree,
     mode: Mode,
     stats: ScanStats,
-    docs: Vec<DocId>,
-    cands: Vec<HashMap<DocId, Vec<OwnedCand>>>,
+    docs: Vec<(DocId, Vec<Vec<OwnedCand>>)>,
     version_cache: HashMap<DocId, Option<VersionId>>,
     doc_idx: usize,
     cur: Option<DocState>,
@@ -540,44 +415,15 @@ impl<'db> MatchCursor<'db> {
         pattern: &PatternTree,
         mode: Mode,
     ) -> Result<Self> {
-        let flat = FlatPattern::new(pattern);
         let mut stats = ScanStats::default();
-        let fti = db.indexes().fti();
-        let set = collect_candidates(db, &fti, &flat, docs, mode, &mut stats)?;
-        let doc_list = set.doc_set();
-        let keep: std::collections::HashSet<DocId> = doc_list.iter().copied().collect();
-        // Only candidates of documents that survived every node are cloned.
-        let cands: Vec<HashMap<DocId, Vec<OwnedCand>>> = set
-            .cands
-            .iter()
-            .map(|m| {
-                m.iter()
-                    .filter(|(d, _)| keep.contains(d))
-                    .map(|(d, cs)| {
-                        let owned = cs
-                            .iter()
-                            .map(|c| OwnedCand {
-                                xid: c.xid,
-                                path: c.path.into(),
-                                from: c.from,
-                                to: c.to,
-                            })
-                            .collect();
-                        (*d, owned)
-                    })
-                    .collect()
-            })
-            .collect();
-        let version_cache = set.version_cache;
-        drop(fti);
+        let set = collect_candidates(db, &FlatPattern::new(pattern), docs, mode, &mut stats)?;
         Ok(MatchCursor {
             db,
             pattern: pattern.clone(),
             mode,
             stats,
-            docs: doc_list,
-            cands,
-            version_cache,
+            docs: set.docs,
+            version_cache: set.version_cache,
             doc_idx: 0,
             cur: None,
         })
@@ -593,27 +439,18 @@ impl<'db> MatchCursor<'db> {
     /// plus the active document's bindings and version entries, never the
     /// full match set.
     pub fn buffered(&self) -> usize {
-        self.cands.iter().map(|m| m.values().map(Vec::len).sum::<usize>()).sum::<usize>()
+        self.docs.iter().flat_map(|(_, per_node)| per_node).map(Vec::len).sum::<usize>()
             + self.cur.as_ref().map_or(0, |s| s.bindings.len() + s.entries.len())
     }
 
-    /// Runs the structural join for one document and preps lazy emission.
-    fn build_doc_state(&mut self, doc: DocId) -> Result<DocState> {
+    /// Runs the structural join for the `i`th document and preps lazy
+    /// emission.
+    fn build_doc_state(&self, i: usize) -> Result<DocState> {
         let flat = FlatPattern::new(&self.pattern);
-        let views: Vec<Vec<Cand<'_>>> = self
-            .cands
-            .iter()
-            .map(|m| {
-                m[&doc]
-                    .iter()
-                    .map(|o| Cand { xid: o.xid, path: &o.path, from: o.from, to: o.to })
-                    .collect()
-            })
-            .collect();
-        let slices: Vec<&[Cand<'_>]> = views.iter().map(|v| v.as_slice()).collect();
+        let (doc, per_node) = (self.docs[i].0, &self.docs[i].1);
         let mut bindings: Vec<Binding> = Vec::new();
-        let mut bvec: Vec<&Cand<'_>> = Vec::with_capacity(flat.nodes.len());
-        join_rec(&flat, &slices, doc, &mut bvec, &mut |b| {
+        let mut bvec: Vec<&OwnedCand> = Vec::with_capacity(flat.nodes.len());
+        join_rec(&flat, per_node, &mut bvec, &mut |b| {
             // Joint validity range of the whole binding.
             let from = b.iter().map(|c| c.from).max().unwrap_or(0);
             let to = b.iter().map(|c| c.to).min().unwrap_or(OPEN);
@@ -624,10 +461,9 @@ impl<'db> MatchCursor<'db> {
                     to,
                 });
             }
-            Ok(())
-        })?;
-        // Same order the materializing scan sorts into: versions ascend via
-        // the entry walk, bindings ascend by bound xids here.
+        });
+        // Versions ascend via the entry walk, bindings ascend by bound
+        // xids here: together the cursor's (doc, version, nodes) order.
         bindings.sort_by(|a, b| a.nodes.cmp(&b.nodes));
         let entries = self.db.store().versions(doc)?;
         let resolved = match self.mode {
@@ -713,9 +549,9 @@ impl<'db> MatchCursor<'db> {
             if self.doc_idx == self.docs.len() {
                 return Ok(None);
             }
-            let doc = self.docs[self.doc_idx];
+            let i = self.doc_idx;
             self.doc_idx += 1;
-            self.cur = Some(self.build_doc_state(doc)?);
+            self.cur = Some(self.build_doc_state(i)?);
         }
     }
 }
@@ -723,19 +559,18 @@ impl<'db> MatchCursor<'db> {
 /// Recursive structural join: bind pattern nodes in pre-order; node `k`'s
 /// candidate must satisfy the edge relationship with its pattern-parent's
 /// binding and overlap it temporally.
-fn join_rec<'c, 'p>(
+fn join_rec<'c>(
     flat: &FlatPattern<'_>,
-    per_node: &[&'c [Cand<'p>]],
-    doc: DocId,
-    binding: &mut Vec<&'c Cand<'p>>,
-    emit: &mut dyn FnMut(&[&Cand<'p>]) -> Result<()>,
-) -> Result<()> {
+    per_node: &'c [Vec<OwnedCand>],
+    binding: &mut Vec<&'c OwnedCand>,
+    emit: &mut dyn FnMut(&[&OwnedCand]),
+) {
     let k = binding.len();
     if k == flat.nodes.len() {
         return emit(binding);
     }
     let (pnode, parent_idx) = (&flat.nodes[k].0, flat.nodes[k].1);
-    for cand in per_node[k] {
+    for cand in &per_node[k] {
         if let Some(pi) = parent_idx {
             let parent = binding[pi];
             let ok = match pnode.edge {
@@ -754,12 +589,10 @@ fn join_rec<'c, 'p>(
                 continue;
             }
         }
-        let _ = doc;
         binding.push(cand);
-        join_rec(flat, per_node, doc, binding, emit)?;
+        join_rec(flat, per_node, binding, emit);
         binding.pop();
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -939,45 +772,46 @@ mod tests {
     }
 
     #[test]
-    fn parallel_multi_doc_scan_is_deterministic() {
-        // Enough documents (and versions) that the per-document join
-        // actually fans out over the worker pool.
+    fn multi_doc_scan_drains_in_doc_version_xid_order() {
         let db = Database::in_memory();
+        let mut docs = Vec::new();
         for i in 0..40u64 {
             let name = format!("doc{i}");
-            db.put(&name, &format!("<g><r><n>shared</n><p>{i}</p></r></g>"), ts(i + 1)).unwrap();
+            docs.push(
+                db.put(&name, &format!("<g><r><n>shared</n><p>{i}</p></r></g>"), ts(i + 1))
+                    .unwrap()
+                    .doc,
+            );
             db.put(&name, &format!("<g><r><n>shared</n><p>{}</p></r></g>", i + 100), ts(i + 100))
                 .unwrap();
         }
+        docs.sort();
         let p = PatternTree::new(
             PatternNode::tag("r").project().child(PatternNode::tag("n").word("shared")),
         );
-        let all = db.tpattern_scan_all(None, &p).unwrap();
-        assert_eq!(all.len(), 80, "two versions of every document match");
-        let again = db.tpattern_scan_all(None, &p).unwrap();
-        let key = |m: &Match| (m.doc, m.version, m.nodes.clone());
-        assert_eq!(
-            all.iter().map(key).collect::<Vec<_>>(),
-            again.iter().map(key).collect::<Vec<_>>(),
-            "worker scheduling must not leak into output order"
-        );
-        let mut sorted = all.iter().map(key).collect::<Vec<_>>();
-        sorted.sort();
-        assert_eq!(all.iter().map(key).collect::<Vec<_>>(), sorted);
-        // The snapshot mode agrees with a per-document scan.
-        let at = db.tpattern_scan(None, &p, ts(50)).unwrap();
-        assert_eq!(at.len(), 40);
-    }
-
-    #[test]
-    fn match_teids_projection() {
-        let db = figure1();
-        let pattern = PatternTree::new(
-            PatternNode::tag("restaurant").child(PatternNode::tag("name").word("napoli").project()),
-        );
-        let m = db.tpattern_scan(None, &pattern, ts(126)).unwrap();
-        assert_eq!(m.len(), 1);
-        assert_eq!(m[0].teids().len(), 2);
-        assert_eq!(m[0].projected_teids(&pattern).len(), 1);
+        let key = |ms: &[Match]| -> Vec<(DocId, VersionId, Vec<Eid>)> {
+            ms.iter().map(|m| (m.doc, m.version, m.nodes.clone())).collect()
+        };
+        let scan = |name: &str, d: Option<DocId>| {
+            match name {
+                "pattern_scan" => db.pattern_scan(d, &p),
+                "tpattern_scan" => db.tpattern_scan(d, &p, ts(50)),
+                _ => db.tpattern_scan_all(d, &p),
+            }
+            .unwrap()
+        };
+        for (name, rows) in [("pattern_scan", 40), ("tpattern_scan", 40), ("tpattern_scan_all", 80)]
+        {
+            let all = key(&scan(name, None));
+            assert_eq!(all.len(), rows, "{name}");
+            let mut sorted = all.clone();
+            sorted.sort();
+            assert_eq!(all, sorted, "{name}: (doc, version, nodes) order");
+            let per_doc: Vec<_> = docs.iter().flat_map(|&d| key(&scan(name, Some(d)))).collect();
+            assert_eq!(all, per_doc, "{name}: the per-document scans, concatenated");
+        }
+        let (m, stats) = db.tpattern_scan_counted(None, &p, ts(50)).unwrap();
+        assert_eq!(stats.matches, m.len());
+        assert_eq!(m.len(), 40);
     }
 }

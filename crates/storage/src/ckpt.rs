@@ -215,22 +215,6 @@ impl CheckpointStore {
         Ok(generation)
     }
 
-    /// Drops any stored checkpoint, freeing its pages. The root slot is
-    /// left pointing at the (now generation-preserving, zero-length-chain)
-    /// root page only if one existed; absent stays absent.
-    pub fn clear(&self) -> Result<()> {
-        if let Some((buf, root_id)) = self.read_root()? {
-            let (first, pages) = match Self::parse_root(&buf) {
-                Ok((_, _, _, first, pages)) => (first, pages),
-                Err(_) => (PageId::NULL, 0),
-            };
-            self.free_chain(first, pages);
-            self.pool.pager().set_root(self.slot, PageId::NULL);
-            self.pool.free_page(root_id)?;
-        }
-        Ok(())
-    }
-
     /// Frees up to `pages` chain pages starting at `first`, stopping
     /// quietly on any damage — leaking pages beats failing a checkpoint.
     fn free_chain(&self, first: PageId, pages: u32) {
@@ -339,18 +323,6 @@ mod tests {
         assert_eq!(s.pool.pager().page_count(), steady, "old chains leaked");
         assert_eq!(s.read().unwrap().as_deref(), Some(big.as_slice()));
         assert_eq!(s.info().unwrap().unwrap().generation, 7);
-    }
-
-    #[test]
-    fn clear_removes_checkpoint() {
-        let s = store();
-        s.write(b"data").unwrap();
-        s.clear().unwrap();
-        assert_eq!(s.read().unwrap(), None);
-        assert_eq!(s.info().unwrap(), None);
-        // Writable again after clearing.
-        s.write(b"again").unwrap();
-        assert_eq!(s.read().unwrap().as_deref(), Some(&b"again"[..]));
     }
 
     #[test]

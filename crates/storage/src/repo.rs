@@ -1641,13 +1641,6 @@ impl DocumentStore {
         self.ckpt.read()
     }
 
-    /// Drops the persisted index checkpoint, if any.
-    pub fn clear_index_checkpoint(&self) -> Result<()> {
-        let _g = self.sync.write();
-        self.ensure_writable()?;
-        self.ckpt.clear()
-    }
-
     /// Generation/size summary of the persisted index checkpoint
     /// (`Ok(None)` when absent).
     pub fn index_checkpoint_info(&self) -> Result<Option<CheckpointInfo>> {

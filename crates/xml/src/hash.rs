@@ -63,13 +63,6 @@ impl Fnv64 {
     }
 }
 
-/// Hashes a string.
-pub fn hash_str(s: &str) -> u64 {
-    let mut h = Fnv64::new();
-    h.write(s.as_bytes());
-    h.finish()
-}
-
 /// Hashes the *label* of a node: kind, name/text and attributes — not its
 /// children, XID or timestamp. Two nodes with equal label hash are
 /// shallow-equal with overwhelming probability.

@@ -7,6 +7,8 @@
 //! workloads drive both systems through the same update stream and compare
 //! at many probe times.
 
+use std::collections::BTreeMap;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use temporal_xml::stratum::StratumDb;
@@ -36,6 +38,31 @@ fn stratum_count_at(s: &StratumDb, pattern: &PatternTree, t: Timestamp) -> usize
 
 fn stratum_count_all(s: &StratumDb, pattern: &PatternTree) -> usize {
     s.pattern_all(pattern).0.iter().map(|m| m.subtrees.len()).sum()
+}
+
+/// Projected nodes per (document name, version time) across all versions
+/// (index path): which document and version each match belongs to.
+fn temporal_all_by_version(
+    db: &Database,
+    pattern: &PatternTree,
+) -> BTreeMap<(String, Timestamp), usize> {
+    let projected = pattern.projected().len();
+    let mut out = BTreeMap::new();
+    for m in db.tpattern_scan_all(None, pattern).unwrap() {
+        *out.entry((db.store().doc_name(m.doc).unwrap(), m.ts)).or_default() += projected;
+    }
+    out
+}
+
+fn stratum_all_by_version(
+    s: &StratumDb,
+    pattern: &PatternTree,
+) -> BTreeMap<(String, Timestamp), usize> {
+    let mut out = BTreeMap::new();
+    for m in s.pattern_all(pattern).0 {
+        *out.entry((m.url, m.ts)).or_default() += m.subtrees.len();
+    }
+    out
 }
 
 #[test]
@@ -139,6 +166,11 @@ fn tdocgen_agreement_with_churn() {
             stratum_count_all(&strat, p),
             "all-versions mismatch for {p:?}"
         );
+        assert_eq!(
+            temporal_all_by_version(&db, p),
+            stratum_all_by_version(&strat, p),
+            "per-version mismatch for {p:?}"
+        );
     }
 }
 
@@ -175,6 +207,7 @@ fn deletions_and_resurrections_agree() {
         let t = ts(probe) + temporal_xml::Duration::from_secs(10);
         assert_eq!(temporal_count_at(&db, &p, t), stratum_count_at(&strat, &p, t), "probe {probe}");
     }
+    assert_eq!(temporal_all_by_version(&db, &p), stratum_all_by_version(&strat, &p));
 }
 
 #[test]
