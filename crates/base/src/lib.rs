@@ -16,9 +16,8 @@
 //! * [`obs`] — the observability substrate: a lock-free metrics registry
 //!   (counters, gauges, log-bucketed latency histograms) and lightweight
 //!   span tracing with a pluggable JSON-lines sink. Every layer registers
-//!   its counters here so `txdb metrics`, `txdb stats`, query
-//!   `ExecStats` and the bench binaries all report from one source of
-//!   truth.
+//!   its counters here so `txdb metrics`, `txdb stats`, the server's
+//!   `METRICS` and txbench all report from one source of truth.
 //!
 //! Nothing here depends on XML or storage; higher crates build on these
 //! types without cyclic dependencies.

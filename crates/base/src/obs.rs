@@ -6,8 +6,8 @@
 //! `FTI_lookup_T` / `FTI_lookup_H` calls (§6). This module is the
 //! measurement substrate those numbers flow through: every component
 //! registers named [`Counter`]s, [`Gauge`]s and log-bucketed
-//! [`Histogram`]s in a shared [`Registry`], and the CLI / bench binaries
-//! render one snapshot from one source of truth.
+//! [`Histogram`]s in a shared [`Registry`], and the CLI, the server and
+//! txbench render one snapshot from one source of truth.
 //!
 //! Design constraints:
 //!

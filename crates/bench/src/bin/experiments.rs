@@ -198,9 +198,9 @@ fn e3() {
         let t_recon = time_us(3, || {
             deltas_total = 0;
             for (d, _) in &docs {
-                let (tree, k) =
+                let (tree, cost) =
                     twin.temporal.store().version_tree_counted(*d, VersionId(0)).unwrap();
-                deltas_total += k;
+                deltas_total += cost.deltas;
                 std::hint::black_box(txdb_xml::pattern::match_tree(
                     &tree,
                     &PatternTree::new(PatternNode::tag("restaurant").project()),
@@ -246,7 +246,7 @@ fn e4() {
         }];
         for target in [255u32, 190, 125, 61, 0] {
             let v = VersionId(target.min(nvers - 1));
-            let (_, deltas) = db.store().version_tree_counted(doc, v).unwrap();
+            let deltas = db.store().version_tree_counted(doc, v).unwrap().1.deltas;
             let us = time_us(5, || {
                 std::hint::black_box(db.store().version_tree(doc, v).unwrap());
             });

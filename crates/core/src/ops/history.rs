@@ -48,16 +48,9 @@ impl Database {
     /// `Reconstruct(TEID)` — the subtree rooted at the element in the
     /// version valid at the TEID's timestamp (§7.3.3).
     pub fn reconstruct(&self, teid: Teid) -> Result<Tree> {
-        Ok(self.reconstruct_counted(teid)?.0)
-    }
-
-    /// `Reconstruct` with the number of deltas applied (cost metric E4).
-    pub fn reconstruct_counted(&self, teid: Teid) -> Result<(Tree, usize)> {
-        let doc = teid.doc();
-        let v = self.store().version_at(doc, teid.ts)?.ok_or(Error::NotValidAt(doc, teid.ts))?;
-        let (tree, applied) = self.store().version_tree_counted(doc, v)?;
+        let tree = self.reconstruct_doc_at(teid.doc(), teid.ts)?;
         let node = tree.find_xid(teid.xid()).ok_or(Error::NoSuchElement(teid.eid))?;
-        Ok((tree.extract_subtree(node), applied))
+        Ok(tree.extract_subtree(node))
     }
 
     /// Reconstructs the *whole document* version valid at `ts`.
@@ -106,7 +99,8 @@ impl Database {
         // target version is looked up before its deltas are read, so a
         // warm walk costs zero deltas, and every version materialized
         // here is offered back to the cache for later point queries.
-        let (tree, mut deltas_read) = self.store().version_tree_counted(doc, newest)?;
+        let (tree, cost) = self.store().version_tree_counted(doc, newest)?;
+        let mut deltas_read = cost.deltas;
         let mut walk = Walk::new(tree);
         let mut out = Vec::with_capacity(in_range.len());
         let mut cursor = newest;
@@ -144,16 +138,7 @@ impl Database {
     /// which the element did not change are coalesced into one element
     /// version (an element version exists per *change* of the element).
     pub fn element_history(&self, eid: Eid, interval: Interval) -> Result<Vec<ElementVersion>> {
-        Ok(self.element_history_counted(eid, interval)?.0)
-    }
-
-    /// `ElementHistory` with the number of deltas read (E9 metric).
-    pub fn element_history_counted(
-        &self,
-        eid: Eid,
-        interval: Interval,
-    ) -> Result<(Vec<ElementVersion>, usize)> {
-        let (versions, deltas_read) = self.doc_history_counted(eid.doc, interval)?;
+        let versions = self.doc_history(eid.doc, interval)?;
         let mut out: Vec<ElementVersion> = Vec::new();
         // doc_history is newest-first; walk oldest-first to coalesce.
         let mut last_change_ts: Option<Timestamp> = None;
@@ -174,7 +159,7 @@ impl Database {
             });
         }
         out.reverse(); // newest first, like DocHistory
-        Ok((out, deltas_read))
+        Ok(out)
     }
 }
 
@@ -207,14 +192,17 @@ mod tests {
         let cur = db.store().current_tree(doc).unwrap();
         let p = cur.iter().find(|&n| cur.node(n).name() == Some("p")).unwrap();
         let eid = Eid::new(doc, cur.node(p).xid);
-        // Reconstruct the p element as of t=15 (version 0).
-        let (sub, applied) = db.reconstruct_counted(eid.at(ts(15))).unwrap();
-        assert_eq!(to_string(&sub), "<p>1</p>");
-        assert_eq!(applied, 2, "two backward deltas from current");
+        // The cost of the version each TEID's timestamp resolves to.
+        let deltas = |t| {
+            let v = db.store().version_at(doc, t).unwrap().unwrap();
+            db.store().version_tree_counted(doc, v).unwrap().1.deltas
+        };
+        // The p element as of t=15 (version 0).
+        assert_eq!(deltas(ts(15)), 2, "two backward deltas from current");
+        assert_eq!(to_string(&db.reconstruct(eid.at(ts(15))).unwrap()), "<p>1</p>");
         // Current version costs zero deltas.
-        let (sub, applied) = db.reconstruct_counted(eid.at(ts(99))).unwrap();
-        assert_eq!(to_string(&sub), "<p>3</p>");
-        assert_eq!(applied, 0);
+        assert_eq!(to_string(&db.reconstruct(eid.at(ts(99))).unwrap()), "<p>3</p>");
+        assert_eq!(deltas(ts(99)), 0);
     }
 
     #[test]
@@ -283,8 +271,8 @@ mod tests {
             assert_eq!(to_string(&c.tree), to_string(&w.tree));
         }
         // A point reconstruction of an old version is free too.
-        let (_, applied) = db.store().version_tree_counted(doc, VersionId(0)).unwrap();
-        assert_eq!(applied, 0);
+        let (_, cost) = db.store().version_tree_counted(doc, VersionId(0)).unwrap();
+        assert_eq!(cost.deltas, 0);
         // ...and a write invalidates: the next walk pays again.
         db.put("d", "<a><p>4</p></a>", ts(40)).unwrap();
         let (_, deltas) = db.doc_history_counted(doc, iv(10, 11)).unwrap();

@@ -100,15 +100,6 @@ impl Database {
     /// `DelTime(TEID)` — the transaction time the element was deleted;
     /// [`Timestamp::FOREVER`] while it is still alive.
     pub fn del_time(&self, teid: Teid, strategy: LifetimeStrategy) -> Result<Timestamp> {
-        Ok(self.del_time_counted(teid, strategy)?.0)
-    }
-
-    /// `DelTime` with the number of deltas read.
-    pub fn del_time_counted(
-        &self,
-        teid: Teid,
-        strategy: LifetimeStrategy,
-    ) -> Result<(Timestamp, usize)> {
         match strategy {
             LifetimeStrategy::Index => {
                 let lt = self
@@ -119,7 +110,7 @@ impl Database {
                 // A resurrection revives the one lifetime the index keeps:
                 // a tombstone after the TEID ended the life it names.
                 let tombstone = self.store().next_tombstone(teid.doc(), teid.ts)?;
-                Ok((tombstone.map_or(lt.deleted, |t| t.min(lt.deleted)), 0))
+                Ok(tombstone.map_or(lt.deleted, |t| t.min(lt.deleted)))
             }
             LifetimeStrategy::Traverse => {
                 let doc = teid.doc();
@@ -128,7 +119,6 @@ impl Database {
                     .version_at(doc, teid.ts)?
                     .ok_or(Error::NotValidAt(doc, teid.ts))?;
                 let entries = self.store().versions(doc)?;
-                let mut deltas_read = 0usize;
                 // Traverse forwards from the version after `start`.
                 for e in &entries[(start.0 as usize + 1)..] {
                     match e.kind {
@@ -140,21 +130,20 @@ impl Database {
                             // existed in the last version, the delete time
                             // of the document is the delete time of the
                             // element."
-                            return Ok((e.ts, deltas_read));
+                            return Ok(e.ts);
                         }
                         VersionKind::Content => {
                             let delta = self
                                 .store()
                                 .delta(doc, e.version)?
                                 .ok_or_else(|| Error::Corrupt("missing delta".into()))?;
-                            deltas_read += 1;
                             if delta_deletes(&delta, teid.xid()) {
-                                return Ok((e.ts, deltas_read));
+                                return Ok(e.ts);
                             }
                         }
                     }
                 }
-                Ok((Timestamp::FOREVER, deltas_read))
+                Ok(Timestamp::FOREVER)
             }
         }
     }

@@ -259,11 +259,19 @@ fn collect_candidates(
 
     // Per-document version resolution for the snapshot mode is cached
     // across all lookups of this scan. It reads the store under the FTI
-    // guard (lock order FTI → `store.sync`).
+    // guard (lock order FTI → `store.sync`). The cursor takes a plain
+    // resolver, so the first store error is kept and fails the scan once
+    // the lookups are done.
     let fti = db.indexes().fti();
     let mut version_cache: HashMap<DocId, Option<VersionId>> = HashMap::new();
+    let mut resolve_err = None;
     let mut resolve = |doc: DocId, t: Timestamp| -> Option<VersionId> {
-        *version_cache.entry(doc).or_insert_with(|| db.store().version_at(doc, t).unwrap_or(None))
+        *version_cache.entry(doc).or_insert_with(|| {
+            db.store().version_at(doc, t).unwrap_or_else(|e| {
+                resolve_err.get_or_insert(e);
+                None
+            })
+        })
     };
 
     let mut order: Vec<usize> = (0..flat.nodes.len()).collect();
@@ -335,6 +343,9 @@ fn collect_candidates(
         if allowed.as_ref().is_some_and(|a| a.is_empty()) {
             break;
         }
+    }
+    if let Some(e) = resolve_err {
+        return Err(e);
     }
 
     let mut survivors: Vec<DocId> = borrowed[0].keys().copied().collect();
@@ -469,7 +480,7 @@ impl<'db> MatchCursor<'db> {
         let resolved = match self.mode {
             Mode::At(t) => match self.version_cache.get(&doc) {
                 Some(v) => *v,
-                None => self.db.store().version_at(doc, t).unwrap_or(None),
+                None => self.db.store().version_at(doc, t)?,
             },
             _ => None,
         };

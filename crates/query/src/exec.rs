@@ -72,10 +72,25 @@ pub struct ExecStats {
     pub rows_scanned: usize,
     /// Rows in the final result.
     pub rows_output: usize,
-    /// Materialized-version cache hits during execution.
+    /// This query's materialized-version cache hits (its reconstructions'
+    /// own lookups, not other readers').
     pub cache_hits: usize,
-    /// Materialized-version cache misses during execution.
+    /// This query's materialized-version cache misses.
     pub cache_misses: usize,
+}
+
+impl ExecStats {
+    /// Adds what `now` counted beyond `then`: the work of one window
+    /// between two readings of a run's ledger.
+    pub(crate) fn add_since(&mut self, now: &ExecStats, then: &ExecStats) {
+        self.reconstructions += now.reconstructions - then.reconstructions;
+        self.deltas_applied += now.deltas_applied - then.deltas_applied;
+        self.reseeds += now.reseeds - then.reseeds;
+        self.rows_scanned += now.rows_scanned - then.rows_scanned;
+        self.rows_output += now.rows_output - then.rows_output;
+        self.cache_hits += now.cache_hits - then.cache_hits;
+        self.cache_misses += now.cache_misses - then.cache_misses;
+    }
 }
 
 /// One annotated node of an executed plan tree (`EXPLAIN ANALYZE`).
@@ -283,9 +298,7 @@ impl DocWalk {
         let next_step = v > at && between.iter().all(|e| e.kind != VersionKind::Content);
         let current = self.entries.iter().rev().find(|e| e.kind == VersionKind::Content);
         if !next_step && (e.snapshot_rid.is_some() || current.is_some_and(|c| c.version == v)) {
-            let (tree, deltas) = db.store().version_tree_counted(doc, v)?;
-            stats.deltas_applied += deltas;
-            let tree = Rc::new(tree);
+            let tree = Rc::new(read(db, doc, v, stats)?);
             self.kept.insert(v, tree.clone());
             return Ok(tree);
         }
@@ -336,10 +349,8 @@ impl DocWalk {
         v: VersionId,
         stats: &mut ExecStats,
     ) -> Result<Rc<Tree>> {
-        let (tree, deltas) = db.store().version_tree_counted(doc, v)?;
-        stats.deltas_applied += deltas;
+        let walk = Walk::new(read(db, doc, v, stats)?);
         stats.reseeds += 1;
-        let walk = Walk::new(tree);
         let tree = walk.tree().clone();
         if let Some((at, old)) = self.walk.replace((v, walk)) {
             if self.retain {
@@ -348,6 +359,17 @@ impl DocWalk {
         }
         Ok(tree)
     }
+}
+
+/// Version `v` of `doc` read through the store (§7.3.3), its cost —
+/// deltas applied and this read's own version-cache hits and misses —
+/// added to the query's ledger.
+fn read(db: &Database, doc: DocId, v: VersionId, stats: &mut ExecStats) -> Result<Tree> {
+    let (tree, cost) = db.store().version_tree_counted(doc, v)?;
+    stats.deltas_applied += cost.deltas;
+    stats.cache_hits += cost.cache_hits;
+    stats.cache_misses += cost.cache_misses;
+    Ok(tree)
 }
 
 /// Evaluated values.

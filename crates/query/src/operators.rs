@@ -75,75 +75,51 @@ pub trait Operator {
     }
 }
 
-/// Per-operator instrumentation: wall time and §6 cost counters
-/// accumulated across `open`/`next` calls.
+/// Per-operator instrumentation: wall time, rows and the share of the
+/// query's [`ExecStats`] counted inside this operator's `open`/`next`
+/// calls.
 struct Meter {
     enabled: bool,
     elapsed: Duration,
     rows: usize,
-    recon: u64,
-    deltas: u64,
-    reseeds: u64,
-    hits: u64,
-    misses: u64,
+    stats: ExecStats,
 }
 
-/// Snapshot taken at the start of a metered window.
-struct MeterWindow {
-    t0: Instant,
-    stats0: ExecStats,
-    vc0: (u64, u64),
-}
+/// The start of a metered window: the clock and the query's ledger.
+type MeterWindow = (Instant, ExecStats);
 
 impl Meter {
     fn new(enabled: bool) -> Meter {
-        Meter {
-            enabled,
-            elapsed: Duration::ZERO,
-            rows: 0,
-            recon: 0,
-            deltas: 0,
-            reseeds: 0,
-            hits: 0,
-            misses: 0,
-        }
+        Meter { enabled, elapsed: Duration::ZERO, rows: 0, stats: ExecStats::default() }
     }
 
     /// Opens a metering window (no-op without `EXPLAIN ANALYZE`).
     fn begin(&self, ctx: &Ctx<'_>) -> Option<MeterWindow> {
-        if !self.enabled {
-            return None;
-        }
-        let (h, m, _, _, _) = ctx.db.store().vcache_stats().snapshot();
-        Some(MeterWindow { t0: Instant::now(), stats0: *ctx.stats.borrow(), vc0: (h, m) })
+        self.enabled.then(|| (Instant::now(), *ctx.stats.borrow()))
     }
 
-    /// Closes the window, attributing the deltas to this operator.
+    /// Closes the window, attributing what the ledger counted to this
+    /// operator.
     fn end(&mut self, w: Option<MeterWindow>, ctx: &Ctx<'_>, emitted: usize) {
         self.rows += emitted;
-        let Some(w) = w else { return };
-        self.elapsed += w.t0.elapsed();
-        let s1 = *ctx.stats.borrow();
-        self.recon += (s1.reconstructions - w.stats0.reconstructions) as u64;
-        self.deltas += (s1.deltas_applied - w.stats0.deltas_applied) as u64;
-        self.reseeds += (s1.reseeds - w.stats0.reseeds) as u64;
-        let (h1, m1, _, _, _) = ctx.db.store().vcache_stats().snapshot();
-        self.hits += h1.saturating_sub(w.vc0.0);
-        self.misses += m1.saturating_sub(w.vc0.1);
+        let Some((t0, then)) = w else { return };
+        self.elapsed += t0.elapsed();
+        self.stats.add_since(&ctx.stats.borrow(), &then);
     }
 
     /// Builds the node skeleton with the standard counter set.
     fn node(&self, label: String) -> ExplainNode {
+        let s = &self.stats;
         ExplainNode {
             label,
             elapsed_us: self.elapsed.as_micros() as u64,
             rows: self.rows,
             counters: vec![
-                ("reconstructions", self.recon),
-                ("deltas_applied", self.deltas),
-                ("reseeds", self.reseeds),
-                ("cache_hits", self.hits),
-                ("cache_misses", self.misses),
+                ("reconstructions", s.reconstructions as u64),
+                ("deltas_applied", s.deltas_applied as u64),
+                ("reseeds", s.reseeds as u64),
+                ("cache_hits", s.cache_hits as u64),
+                ("cache_misses", s.cache_misses as u64),
             ],
             children: Vec::new(),
         }
@@ -859,7 +835,6 @@ pub(crate) fn open_stream<'db>(
     // reconstructible even if the caller holds the stream open across
     // later writes and vacuums.
     let pin = db.pin_snapshot(plan.min_snapshot_time());
-    let (h0, m0, _, _, _) = db.store().vcache_stats().snapshot();
     let ctx = Rc::new(Ctx::new(db, plan.now));
     let mut root = lower(&ctx, plan, explain);
     root.open()?;
@@ -870,12 +845,9 @@ pub(crate) fn open_stream<'db>(
         root,
         span: Some(span),
         trace,
-        vc0: (h0, m0),
         explain,
         finished: false,
-        rows_out: 0,
         peak_buffered: peak,
-        stats: ExecStats::default(),
         explain_tree: None,
     })
 }
@@ -894,18 +866,15 @@ pub struct RowStream<'db> {
     root: Box<dyn Operator + 'db>,
     span: Option<Span<'db>>,
     trace: Option<TraceContext>,
-    vc0: (u64, u64),
     explain: bool,
     finished: bool,
-    rows_out: usize,
     peak_buffered: usize,
-    stats: ExecStats,
     explain_tree: Option<ExplainNode>,
 }
 
 impl RowStream<'_> {
-    /// Finalises the run (idempotent): closes operators, snapshots stats,
-    /// publishes metrics and ends the timing span.
+    /// Finalises the run (idempotent): closes operators, publishes the
+    /// run's stats as metrics and ends the timing span.
     fn finish(&mut self) {
         if self.finished {
             return;
@@ -920,12 +889,7 @@ impl RowStream<'_> {
             self.explain_tree = Some(tree);
         }
         self.root.close();
-        let mut stats = *self.ctx.stats.borrow();
-        stats.rows_output = self.rows_out;
-        let (h1, m1, _, _, _) = self.ctx.db.store().vcache_stats().snapshot();
-        stats.cache_hits = h1.saturating_sub(self.vc0.0) as usize;
-        stats.cache_misses = m1.saturating_sub(self.vc0.1) as usize;
-        self.stats = stats;
+        let stats = self.stats();
         let reg = self.ctx.db.metrics();
         reg.counter("query.runs").inc();
         reg.counter("query.rows_scanned").add(stats.rows_scanned as u64);
@@ -934,16 +898,10 @@ impl RowStream<'_> {
         self.span.take();
     }
 
-    /// Execution statistics: final totals once the stream is exhausted
-    /// (or dropped), live counters while it is still being pulled.
+    /// Execution statistics: the run's ledger, live while the stream is
+    /// still being pulled and final once it is exhausted (or dropped).
     pub fn stats(&self) -> ExecStats {
-        if self.finished {
-            self.stats
-        } else {
-            let mut s = *self.ctx.stats.borrow();
-            s.rows_output = self.rows_out;
-            s
-        }
+        *self.ctx.stats.borrow()
     }
 
     /// The `EXPLAIN ANALYZE` tree (after exhaustion, when requested).
@@ -973,7 +931,7 @@ impl Iterator for RowStream<'_> {
         }
         match self.root.next() {
             Ok(Some(row)) => {
-                self.rows_out += 1;
+                self.ctx.stats.borrow_mut().rows_output += 1;
                 let buffered = self.root.buffered() + self.ctx.cached_trees();
                 self.peak_buffered = self.peak_buffered.max(buffered);
                 Some(Ok(row.into_values()))

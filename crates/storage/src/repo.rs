@@ -158,6 +158,32 @@ pub struct VersionEntry {
     pub snapshot_rid: Option<RecordId>,
 }
 
+/// What one [`DocumentStore::version_tree_counted`] call cost (§7.3.3):
+/// the completed deltas it applied and its own version-cache lookups (at
+/// most one direct lookup and one seed lookup). The store-wide
+/// `vcache.*` counters count the same lookups for every caller at once.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ReconstructCost {
+    /// Completed deltas applied backwards.
+    pub deltas: usize,
+    /// Version-cache lookups that found their version.
+    pub cache_hits: usize,
+    /// Version-cache lookups that did not.
+    pub cache_misses: usize,
+}
+
+impl ReconstructCost {
+    /// Counts one cache lookup by its outcome and passes the outcome on.
+    fn lookup<T>(&mut self, found: Option<T>) -> Option<T> {
+        if found.is_some() {
+            self.cache_hits += 1;
+        } else {
+            self.cache_misses += 1;
+        }
+        found
+    }
+}
+
 /// Magic prefix of every encoded metadata record. Together with the
 /// embedded document id it makes metadata **self-identifying**: a raw
 /// heap sweep can find every document without consulting the catalog —
@@ -1428,9 +1454,14 @@ impl DocumentStore {
     /// Reconstructs version `v` (§7.3.3): finds the nearest complete
     /// materialisation at or after `v` — a cached version, a snapshot, or
     /// the current version, whichever is closest — and applies completed
-    /// deltas backwards. Returns the tree and the number of deltas applied
-    /// (the cost metric of experiment E4; a cache hit costs 0).
-    pub fn version_tree_counted(&self, doc: DocId, v: VersionId) -> Result<(Tree, usize)> {
+    /// deltas backwards. Returns the tree and this call's own cost: deltas
+    /// applied (experiment E4's metric; a cache hit costs 0) and cache
+    /// lookups, whatever other readers do meanwhile.
+    pub fn version_tree_counted(
+        &self,
+        doc: DocId,
+        v: VersionId,
+    ) -> Result<(Tree, ReconstructCost)> {
         let _g = self.sync.read();
         let meta = self.meta_arc(doc)?;
         self.reconstruct_counted(&meta.1, doc, v, true)
@@ -1445,7 +1476,7 @@ impl DocumentStore {
         doc: DocId,
         v: VersionId,
         use_cache: bool,
-    ) -> Result<(Tree, usize)> {
+    ) -> Result<(Tree, ReconstructCost)> {
         let e = meta.entries.get(v.0 as usize).ok_or(Error::NoSuchVersion(doc, v))?;
         if e.kind != VersionKind::Content {
             return Err(Error::NoSuchVersion(doc, v));
@@ -1458,19 +1489,20 @@ impl DocumentStore {
         });
         // Direct hits first: the cache, then a materialized snapshot, then
         // the current version.
+        let mut cost = ReconstructCost::default();
         if use_cache {
-            if let Some(t) = self.vcache.get(doc, v) {
-                return Ok(((*t).clone(), 0));
+            if let Some(t) = cost.lookup(self.vcache.get(doc, v)) {
+                return Ok(((*t).clone(), cost));
             }
         }
         if let Some(rid) = e.snapshot_rid {
             self.obs.snapshot_seeds.inc();
-            return Ok((decode_tree(&self.heap.get(rid)?)?, 0));
+            return Ok((decode_tree(&self.heap.get(rid)?)?, cost));
         }
         let last_content =
             meta.last_content().ok_or_else(|| Error::Corrupt("no content version".into()))?;
         if last_content.version == v {
-            return Ok((self.current_tree_of(meta)?, 0));
+            return Ok((self.current_tree_of(meta)?, cost));
         }
         // Nearest materialisation after v: walking forward from v, the
         // first cached version or snapshot ("processing start using the
@@ -1483,7 +1515,7 @@ impl DocumentStore {
             if use_cache {
                 if let Some(t) = self.vcache.peek(doc, e2.version) {
                     // `get` refreshes the seed's LRU slot and counts the hit.
-                    let t = self.vcache.get(doc, e2.version).unwrap_or(t);
+                    let t = cost.lookup(self.vcache.get(doc, e2.version)).unwrap_or(t);
                     start = e2.version;
                     tree = Some((*t).clone());
                     break;
@@ -1503,19 +1535,18 @@ impl DocumentStore {
         // Apply deltas backwards from `start` down to `v`, on one walk (one
         // XID map for the whole chain).
         let mut walk = Walk::new(tree);
-        let mut applied = 0usize;
         for u in ((v.0 + 1)..=start.0).rev() {
             let entry = &meta.entries[u as usize];
             let Some(rid) = entry.delta_rid else { continue }; // tombstone
             walk.backward(&self.load_delta(rid)?)?;
-            applied += 1;
+            cost.deltas += 1;
         }
         let tree = walk.into_tree();
-        if use_cache && applied > 0 {
+        if use_cache && cost.deltas > 0 {
             self.vcache.insert(doc, v, Arc::new(tree.clone()));
         }
-        self.obs.reconstruct_deltas.add(applied as u64);
-        Ok((tree, applied))
+        self.obs.reconstruct_deltas.add(cost.deltas as u64);
+        Ok((tree, cost))
     }
 
     /// The materialized-version cache's counters (hits, misses, inserts,
@@ -2080,9 +2111,9 @@ mod tests {
         assert!(vs[1..].iter().all(|e| e.delta_rid.is_some()));
         // Reconstruct every version.
         for (v, want) in [(0u32, "1"), (1, "2"), (2, "3"), (3, "4")] {
-            let (t, applied) = store.version_tree_counted(doc, VersionId(v)).unwrap();
+            let (t, cost) = store.version_tree_counted(doc, VersionId(v)).unwrap();
             assert_eq!(to_string(&t), format!("<g><p>{want}</p></g>"));
-            assert_eq!(applied as u32, 3 - v, "backward chain length");
+            assert_eq!(cost.deltas as u32, 3 - v, "backward chain length");
         }
     }
 
@@ -2095,8 +2126,8 @@ mod tests {
         let doc = store.put("d", "<r><a>red<p/>zz</a></r>", ts(1)).unwrap().doc;
         store.put("d", "<r><p/></r>", ts(2)).unwrap();
         store.vcache().clear();
-        let (t, applied) = store.version_tree_counted(doc, VersionId(0)).unwrap();
-        assert_eq!(applied, 1);
+        let (t, cost) = store.version_tree_counted(doc, VersionId(0)).unwrap();
+        assert_eq!(cost.deltas, 1);
         assert_eq!(to_string(&t), "<r><a>red<p/>zz</a></r>");
     }
 
@@ -2185,9 +2216,9 @@ mod tests {
         }
         assert!(store.version_tree(doc, VersionId(0)).is_err());
         // Surviving versions reconstruct (and re-cache) correctly.
-        let (t, applied) = store.version_tree_counted(doc, VersionId(3)).unwrap();
+        let (t, cost) = store.version_tree_counted(doc, VersionId(3)).unwrap();
         assert_eq!(to_string(&t), "<a>4</a>");
-        assert_eq!(applied, 1);
+        assert_eq!(cost.deltas, 1);
         assert!(store.cached_version(doc, VersionId(3)).is_some());
     }
 
@@ -2232,13 +2263,43 @@ mod tests {
             vs.iter().filter(|e| e.snapshot_rid.is_some()).map(|e| e.version.0).collect();
         assert_eq!(snap_versions, vec![4, 8, 12, 16, 20]);
         // Reconstructing version 5 starts from snapshot 8: 3 deltas.
-        let (t, applied) = store.version_tree_counted(doc, VersionId(5)).unwrap();
+        let (t, cost) = store.version_tree_counted(doc, VersionId(5)).unwrap();
         assert_eq!(to_string(&t), "<a><v>5</v></a>");
-        assert_eq!(applied, 3);
+        assert_eq!(cost.deltas, 3);
         // Direct snapshot hit: 0 deltas.
-        let (_, applied) = store.version_tree_counted(doc, VersionId(8)).unwrap();
-        assert_eq!(applied, 0);
+        let (_, cost) = store.version_tree_counted(doc, VersionId(8)).unwrap();
+        assert_eq!(cost.deltas, 0);
         // Without snapshots it would have been 15 for version 5.
+    }
+
+    #[test]
+    fn reconstruct_cost_counts_its_own_cache_lookups() {
+        let store = DocumentStore::in_memory();
+        let doc = store.put("d", "<a><v>0</v></a>", ts(1)).unwrap().doc;
+        for i in 1..=3u64 {
+            store.put("d", &format!("<a><v>{i}</v></a>"), ts(1 + i)).unwrap();
+        }
+        let cost = |v: u32| {
+            let before = store.vcache_stats().snapshot();
+            let (_, cost) = store.version_tree_counted(doc, VersionId(v)).unwrap();
+            let after = store.vcache_stats().snapshot();
+            // Alone, the call's own lookups are the store-wide movement.
+            assert_eq!(
+                (after.0 - before.0, after.1 - before.1),
+                (cost.cache_hits as u64, cost.cache_misses as u64)
+            );
+            cost
+        };
+        let c =
+            |deltas, cache_hits, cache_misses| ReconstructCost { deltas, cache_hits, cache_misses };
+        // Cold: one direct miss, seeded from the current version.
+        assert_eq!(cost(2), c(1, 0, 1));
+        // Warm: one direct hit.
+        assert_eq!(cost(2), c(0, 1, 0));
+        // A direct miss, then the cached v2 seeds the walk: one seed hit.
+        assert_eq!(cost(0), c(2, 1, 1));
+        // The current version: one direct miss, no seed lookup.
+        assert_eq!(cost(3), c(0, 0, 1));
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! version* can seed a reconstruction instead of the nearest snapshot or
 //! the current version.
 //!
-//! Sharding bounds lock contention: the parallel scan workers (see
-//! `txdb-core`) hit the cache concurrently, and a single mutex would
+//! Sharding bounds lock contention: concurrent readers (query threads,
+//! server sessions) hit the cache at once, and a single mutex would
 //! serialise them. Each shard owns `budget / SHARDS` bytes and evicts its
 //! own LRU tail independently.
 //!
@@ -38,10 +38,12 @@ const SHARDS: usize = 8;
 const NODE_OVERHEAD: usize = 96;
 
 /// Counters exposed by the cache, mirroring [`crate::buffer::BufferStats`].
-/// All values are cumulative. A cache built with
-/// [`VersionCache::with_metrics`] registers these counters under
-/// `vcache.*` in the store's [`Registry`] so query `ExecStats`, `txdb
-/// stats` and `txdb metrics` all read the same atomics.
+/// All values are cumulative and count every caller's lookups. A cache
+/// built with [`VersionCache::with_metrics`] registers these counters
+/// under `vcache.*` in the store's [`Registry`] so `txdb stats` and `txdb
+/// metrics` read the same atomics. A query's own hits and misses come
+/// from the lookups its reconstructions make
+/// ([`crate::repo::ReconstructCost`]), not from these.
 #[derive(Debug, Default)]
 pub struct VersionCacheStats {
     /// Lookups that found their version.
@@ -159,8 +161,8 @@ impl VersionCache {
 
     fn shard(&self, doc: DocId, v: VersionId) -> &Mutex<Shard> {
         // Cheap mix: documents spread across shards, consecutive versions
-        // of one document spread too (parallel workers often walk one
-        // document's versions together).
+        // of one document spread too (concurrent readers of one document
+        // often touch neighbouring versions).
         let h = (doc.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (v.0 as u64);
         &self.shards[(h % SHARDS as u64) as usize]
     }

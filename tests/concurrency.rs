@@ -327,3 +327,93 @@ fn concurrent_committers_share_fsyncs_durably() {
     db.close().unwrap();
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// Eight versions of `a` and a one-version `b` holding `items` elements.
+fn two_documents(items: usize) -> Database {
+    let db = Database::in_memory();
+    for i in 0..8u64 {
+        db.put("a", &format!("<log><n>{i}</n><w>alpha{i}</w></log>"), ts(i)).unwrap();
+    }
+    let body: String = (0..items).map(|i| format!("<item><v>{i}</v></item>")).collect();
+    db.put("b", &format!("<list>{body}</list>"), ts(10)).unwrap();
+    db
+}
+
+/// A query's `ExecStats` count its own work only. A `Current` query on
+/// `b` reports the same stats alone and in each of 2,000 runs beside a
+/// thread that runs `[EVERY]` on `a` and drops `a`'s cached versions
+/// every other run (so that thread hits and misses the version cache
+/// all along). Under `EXPLAIN ANALYZE` every counter of the operator
+/// tree sums to the run's stats.
+#[test]
+fn exec_stats_are_the_querys_own_beside_a_busy_reader() {
+    let db = two_documents(40);
+    let q = r#"SELECT R/v FROM doc("b")//item R"#;
+    let run = || db.query(q).explain().run().unwrap();
+    let solo = run().stats;
+    assert_eq!((solo.reconstructions, solo.cache_hits, solo.cache_misses), (1, 0, 1));
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        let busy = s.spawn(|| {
+            let a = db.store().doc_id("a").unwrap().unwrap();
+            let mut runs = 0usize;
+            while !stop.load(Ordering::Relaxed) {
+                let r = db.query(r#"SELECT R/n FROM doc("a")[EVERY]//log R"#).run().unwrap();
+                assert_eq!(r.len(), 8);
+                if runs % 2 == 1 {
+                    db.store().vcache().invalidate_doc(a);
+                }
+                runs += 1;
+            }
+            runs
+        });
+        // The first run whose counts differ; asserted once the busy
+        // reader has stopped, so a failure cannot leave it spinning.
+        let differing = (0..2_000).map(|i| (i, run())).find(|(_, r)| {
+            let tree = r.explain.as_ref().expect("explain tree");
+            r.stats != solo
+                || [
+                    ("reconstructions", r.stats.reconstructions),
+                    ("deltas_applied", r.stats.deltas_applied),
+                    ("reseeds", r.stats.reseeds),
+                    ("cache_hits", r.stats.cache_hits),
+                    ("cache_misses", r.stats.cache_misses),
+                ]
+                .iter()
+                .any(|&(name, v)| tree.counter_total(name) != v as u64)
+        });
+        stop.store(true, Ordering::Relaxed);
+        if let Some((i, r)) = differing {
+            panic!("run {i}: {:?} and tree {:?}, alone {solo:?}", r.stats, r.explain);
+        }
+        assert!(busy.join().unwrap() > 0, "the busy reader ran");
+    });
+}
+
+/// With nothing else running, the store-wide `vcache.hits`/`vcache.misses`
+/// move by exactly the query's own `cache_hits`/`cache_misses`: the two
+/// ledgers agree. The queries cover a cold and a warm `[EVERY]` walk, a
+/// read behind the walk (`PREVIOUS`), a snapshot and a current scan.
+#[test]
+fn store_cache_counters_move_by_the_querys_own_when_alone() {
+    let db = two_documents(5);
+    let at = ts(4).micros();
+    let queries = [
+        r#"SELECT R/n FROM doc("a")[EVERY]//log R"#.to_string(),
+        r#"SELECT R/n FROM doc("a")[EVERY]//log R"#.to_string(),
+        r#"SELECT PREVIOUS(R) FROM doc("a")[EVERY]//log R"#.to_string(),
+        format!(r#"SELECT R/n FROM doc("a")[{at}]//log R"#),
+        r#"SELECT R/v FROM doc("b")//item R"#.to_string(),
+    ];
+    let (mut hits, mut misses) = (0, 0);
+    for q in &queries {
+        let before = db.store().vcache_stats().snapshot();
+        let r = db.query(q).run().unwrap();
+        let after = db.store().vcache_stats().snapshot();
+        let own = (r.stats.cache_hits as u64, r.stats.cache_misses as u64);
+        assert_eq!((after.0 - before.0, after.1 - before.1), own, "{q}: {:?}", r.stats);
+        hits += own.0;
+        misses += own.1;
+    }
+    assert!(hits > 0 && misses > 0, "hits {hits}, misses {misses}");
+}

@@ -129,9 +129,9 @@ fn snapshots_survive_reopen() {
     let db = o.open().unwrap();
     let d = db.store().doc_id("d").unwrap().unwrap();
     // Snapshot at v3 bounds reconstruction of v1 to ≤ 2 deltas.
-    let (tree, applied) = db.store().version_tree_counted(d, VersionId(1)).unwrap();
+    let (tree, cost) = db.store().version_tree_counted(d, VersionId(1)).unwrap();
     assert_eq!(temporal_xml::xml::to_string(&tree), "<a><v>1</v></a>");
-    assert!(applied <= 2, "snapshot used after reopen: {applied}");
+    assert!(cost.deltas <= 2, "snapshot used after reopen: {cost:?}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -113,3 +113,82 @@ fn concurrent_readers_during_writes() {
     let m = db.pattern_scan(None, &pattern).unwrap();
     assert_eq!(m.len(), 1, "40 % 5 == 0 → one item in the last version");
 }
+
+/// A read error inside a `TPatternScan` fails the scan; it never reads as
+/// "no version at t", which would silently drop that document's matches.
+/// A reopened store with the version cache off and a small buffer pool
+/// runs a snapshot scan and a snapshot query under two fault schedules:
+/// every `k`-th file operation fails once (the pager retries such
+/// transient faults), or every operation from the `n`-th on fails. Each
+/// run either errs or returns exactly the fault-free answer.
+///
+/// `Database::open` caches every document's metadata, so snapshot
+/// resolution (`version_at`) reads no file here; the failing reads are
+/// the query's reconstructions.
+#[test]
+fn snapshot_scans_fail_or_answer_exactly_under_read_faults() {
+    use temporal_xml::storage::FaultyVfs;
+    use temporal_xml::{DbOptions, StoreOptions};
+
+    let ts = |n: u64| Timestamp::from_secs(2_000 + n);
+    let dir = std::env::temp_dir().join(format!("txdb-scanfault-{}", std::process::id()));
+    let vfs = FaultyVfs::new(11);
+    let opts = DbOptions {
+        store: StoreOptions {
+            path: Some(dir.clone()),
+            vfs: Some(Arc::new(vfs.clone())),
+            buffer_pages: 8,
+            cache_bytes: 0,
+            ..Default::default()
+        },
+    };
+    {
+        let db = opts.clone().open().unwrap();
+        // Each version spans pages, so eight buffer pages hold few of them.
+        let pad = "p".repeat(6000);
+        for d in 0..12u64 {
+            for v in 0..3u64 {
+                let n = d % 3;
+                let xml = format!("<g><r><n>d{d}v{v}</n><w>{pad}</w></r><r><n>k{n}</n></r></g>");
+                db.put(&format!("d{d}"), &xml, ts(d * 10 + v)).unwrap();
+            }
+        }
+        db.close().unwrap();
+    }
+    let pattern = PatternTree::new(PatternNode::tag("r").project());
+    let at = ts(65);
+    let q = format!(r#"SELECT R/n FROM doc("*")[{}]//r R"#, at.micros());
+    let run = |db: &Database| {
+        let scan = db
+            .tpattern_scan(None, &pattern, at)
+            .map(|ms| ms.into_iter().map(|m| (m.doc, m.version, m.nodes)).collect::<Vec<_>>());
+        (scan, db.query(&q).run().map(|r| r.to_xml()))
+    };
+    let (clean_scan, clean_query) = match run(&opts.clone().open().unwrap()) {
+        (Ok(scan), Ok(query)) => (scan, query),
+        other => panic!("fault-free run failed: {other:?}"),
+    };
+    assert_eq!(clean_scan.len(), 14, "docs 0–5 at v2 and 6 at v0, two r each");
+    let mut failed = 0;
+    let schedules = (2..24u64).map(|k| (k, true)).chain((1..12u64).map(|n| (n, false)));
+    for (k, transient) in schedules {
+        let db = opts.clone().open().unwrap();
+        if transient {
+            vfs.fail_io_every(k);
+        } else {
+            vfs.crash_after_ops(k);
+        }
+        let (scan, query) = run(&db);
+        vfs.clear_faults();
+        match scan {
+            Ok(got) => assert_eq!(got, clean_scan, "k={k}: scan lost or changed matches"),
+            Err(_) => failed += 1,
+        }
+        match query {
+            Ok(got) => assert_eq!(got, clean_query, "k={k}: query answer changed"),
+            Err(_) => failed += 1,
+        }
+    }
+    assert!(failed > 0, "no schedule reached a read");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -389,6 +389,58 @@ fn large_answer_streams_without_nagle_stall() {
 
 // --------------------------------------------------- observability
 
+/// Two sessions at once: one runs `[EVERY]` on `a` while the test drops
+/// `a`'s cached versions every other run, the other repeats a `Current`
+/// query on `b`. Every `b` done frame reports that query's solo
+/// `cache_hits` and `reconstructions`: a session's counters never include
+/// another session's work.
+#[test]
+fn concurrent_sessions_report_only_their_own_cache_traffic() {
+    let db = Arc::new(Database::in_memory());
+    for i in 0..8u64 {
+        db.put("a", &format!("<log><n>{i}</n></log>"), ts(i)).unwrap();
+    }
+    let items: String = (0..100).map(|i| format!("<item><v>{i}</v></item>")).collect();
+    db.put("b", &format!("<list>{items}</list>"), ts(10)).unwrap();
+    let server = start(Arc::clone(&db));
+    let addr = server.addr();
+    let q = r#"SELECT R/v FROM doc("b")//item R"#;
+    let mut client = Client::connect(addr).unwrap();
+    let solo = client.query(q, None).unwrap().done;
+    assert_eq!((solo.reconstructions, solo.cache_hits), (1, 0));
+    let stop = std::sync::atomic::AtomicBool::new(false);
+    std::thread::scope(|s| {
+        let busy = s.spawn(|| {
+            let mut other = Client::connect(addr).unwrap();
+            let a = db.store().doc_id("a").unwrap().unwrap();
+            let mut runs = 0usize;
+            while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                let reply = other.query(r#"SELECT R/n FROM doc("a")[EVERY]//log R"#, None);
+                assert_eq!(reply.unwrap().rows.len(), 8);
+                if runs % 2 == 1 {
+                    db.store().vcache().invalidate_doc(a);
+                }
+                runs += 1;
+            }
+            runs
+        });
+        // Asserted once the other session has stopped, so a failure
+        // cannot leave it spinning.
+        let differing =
+            (0..500).map(|i| (i, client.query(q, None).unwrap().done)).find(|(_, d)| {
+                (d.reconstructions, d.cache_hits) != (solo.reconstructions, solo.cache_hits)
+            });
+        stop.store(true, std::sync::atomic::Ordering::Relaxed);
+        assert!(
+            differing.is_none(),
+            "counted another session's work: {differing:?}, alone {solo:?}"
+        );
+        assert!(busy.join().unwrap() > 0, "the other session ran");
+    });
+    drop(client);
+    server.shutdown().unwrap();
+}
+
 /// A traced wire QUERY returns a span tree whose root duration equals —
 /// to the microsecond — the `server.cmd.query_us` histogram observation
 /// for that request, and every child span fits inside its parent.
